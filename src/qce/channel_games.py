@@ -28,12 +28,9 @@ from .linalg import (
     eigh_desc,
     fourier_matrix,
     ket,
-    kron,
     max_entangled,
-    proj,
     pure,
     random_density,
-    random_pmf,
     rng,
     shift_clock,
 )

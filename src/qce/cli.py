@@ -198,8 +198,10 @@ def cmd_simulate(args) -> None:
     if args.state:
         state = ser.decode_density(_load_json(args.state))
         game = ser.decode_state_game(_load_json(args.game))
-        report = reward_noadv(state, game.host, OptOpts(restarts=args.restarts, seed=args.seed))
-        res = simulate_state_game(state, game, report.strategy, rounds=args.rounds, seed=args.seed)
+        opts = OptOpts(restarts=args.restarts, seed=args.seed)
+        report = state_reward(state, game, opts)
+        strategy = report.strategy if report.strategy is not None else reward_noadv(state, game.host, opts).strategy
+        res = simulate_state_game(state, game, strategy, report.adversary, rounds=args.rounds, seed=args.seed)
     elif args.channel:
         ch = ser.decode_channel(_load_json(args.channel))
         game = ser.decode_channel_game(_load_json(args.game))

@@ -28,17 +28,14 @@ from .linalg import (
     DensityOperator,
     _as_complex,
     _permute_mat,
+    _spectral_amplitudes,
     _trace_out,
     dagger,
-    eigh_desc,
     entangled_basis,
     ket,
     kron,
     max_entangled_vec,
-    maximally_mixed,
-    permutation_matrix,
     proj,
-    purify,
     random_density,
     rng,
     weyl_unitaries,
@@ -166,7 +163,9 @@ def semicausal_from_parts(f_iso: qc.QuantumChannel, e: qc.QuantumChannel) -> qc.
     """Compose B -> (R, B') isometry with an (R, A) -> A recovery into (A,B) -> (A,B').
 
     Semi-causality holds by construction: Bob acts first, Alice's system is
-    only touched by the recovery map.
+    only touched by the recovery map.  Each recovery Kraus operator K gives
+    one composite Kraus operator of shape (|A||B'|, |A||B|), contracted over
+    R in a single einsum with the isometry V.
     """
     if len(f_iso.kraus) != 1:
         raise ValueError("f_iso must be an isometry channel with a single Kraus operator")
@@ -181,16 +180,13 @@ def semicausal_from_parts(f_iso: qc.QuantumChannel, e: qc.QuantumChannel) -> qc.
     if e.out_dims != (da,):
         raise ValueError("recovery map must output the A system alone")
 
-    step1 = qc.tensor(qc.identity_channel((da,)), f_iso)            # (A,B) -> (A, R..., B')
-    mid_dims = (da,) + r_dims + b_out_dims
-    n_r = len(r_dims)
-    perm = list(range(1, 1 + n_r)) + [0] + list(range(1 + n_r, len(mid_dims)))
-    p = permutation_matrix(mid_dims, perm)
-    step2 = qc.unitary_channel(p, mid_dims)
-    step2 = qc.QuantumChannel(mid_dims, tuple(mid_dims[q] for q in perm), step2.kraus)
-    step3 = qc.tensor(e, qc.identity_channel(b_out_dims))           # (R..., A, B') -> (A, B')
-    out = qc.compose(step3, qc.compose(step2, step1))
-    return qc.QuantumChannel((da, f_iso.din), (da,) + b_out_dims, out.kraus)
+    r = int(np.prod(r_dims))
+    db, db2 = f_iso.din, int(np.prod(b_out_dims))
+    v3 = v.reshape(r, db2, db)
+    ks = tuple(
+        np.einsum("xra,rby->xbay", k.reshape(da, r, da), v3).reshape(da * db2, da * db) for k in e.kraus
+    )
+    return qc.QuantumChannel((da, db), (da,) + b_out_dims, ks)
 
 
 def teleport_cusc(target: DensityOperator) -> qc.QuantumChannel:
@@ -199,33 +195,23 @@ def teleport_cusc(target: DensityOperator) -> qc.QuantumChannel:
     Bob locally prepares a purification of the target, measures his input
     against its first half in the maximally entangled basis, and forwards
     the outcome flag; Alice applies the matching shift-and-phase correction.
+    The purification is read from the target's spectral amplitudes (one
+    eigensolve of side d^2); the channel has d^2 * rank Kraus operators of
+    side d^2, Kraus (j, e) = W_j (x) block_j[e], with W_j the correction and
+    block_j the target tensor projected on the j-th Bell vector.
     """
     if len(target.dims) != 2 or target.dims[0] != target.dims[1]:
         raise ValueError("target must live on two systems of equal dimension")
     d = target.dims[0]
-    t_pure = purify(target)
-    de = t_pure.dims[2]
-    vals, vecs = eigh_desc(t_pure.mat)
-    t_vec = vecs[:, 0] * np.sqrt(vals[0])
-    t_vec = t_vec / np.linalg.norm(t_vec)
-    t_tens = t_vec.reshape(d, d, de)  # (A', B', E)
+    amps, de = _spectral_amplitudes(target)
+    t_tens = amps.reshape(d, d, de)  # (A', B', E)
 
-    bells = entangled_basis(d)
-    blocks = []
-    for bvec in bells:
-        b_mat = bvec.reshape(d, d)  # (A', B-in)
-        blocks.append(np.einsum("ab,axe->exb", b_mat.conj(), t_tens).reshape(de * d, d))
-    v = np.concatenate(blocks, axis=0)  # rows ordered (flag, E, B')
-    f_iso = qc.QuantumChannel((d,), (d * d, de, d), (v,))
-
-    corrections = weyl_unitaries(d)
     ks = []
-    for j in range(d * d):
-        for ee in range(de):
-            sel = kron(ket(j, d * d).conj(), ket(ee, de).conj()).reshape(1, -1)
-            ks.append(kron(sel, corrections[j]).reshape(d, d * d * de * d))
-    e_map = qc.QuantumChannel((d * d, de, d), (d,), tuple(ks))
-    return semicausal_from_parts(f_iso, e_map)
+    for w, bvec in zip(weyl_unitaries(d), entangled_basis(d)):
+        b_mat = bvec.reshape(d, d)  # (A', B-in)
+        block = np.einsum("ab,axe->exb", b_mat.conj(), t_tens)  # (E, B', B-in)
+        ks.extend(kron(w, block[e]) for e in range(de))
+    return qc.QuantumChannel((d, d), (d, d), tuple(ks))
 
 
 def bell_scrambler(d: int) -> qc.QuantumChannel:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import EIG_CUTOFF, DensityOperator, _trace_out, eigh_desc, kron, partial_trace, purify
+from .linalg import EIG_CUTOFF, DensityOperator, _spectral_amplitudes, _trace_out, kron
 
 UMEGAKI = "umegaki"
 DMAX = "dmax"
@@ -92,11 +92,17 @@ def vn_cond_entropy(state: DensityOperator) -> float:
 
 
 def dual_cond_entropy(h, state: DensityOperator) -> float:
-    """-h evaluated on (A, purifying reference) of the canonical purification."""
-    _bipartite(state)
-    psi = purify(state)
-    on_ac = partial_trace(psi, [0, 2])
-    return -h(on_ac)
+    """-h evaluated on (A, purifying reference) of the canonical purification.
+
+    rho_AC is contracted straight from the spectral amplitudes of ``state``:
+    one eigensolve of side n = |A||B|, then ``h`` on a state of side
+    |A|*rank.  The purification itself (side n*rank) is never formed.
+    """
+    da, db = _bipartite(state)
+    amps, rank = _spectral_amplitudes(state)
+    t = amps.reshape(da, db, rank)
+    rho_ac = np.einsum("abc,xby->acxy", t, t.conj()).reshape(da * rank, da * rank)
+    return -h(DensityOperator((da, rank), rho_ac))
 
 
 def coherent_information(state: DensityOperator) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -52,10 +51,6 @@ def is_hermitian(m: np.ndarray, tol: float = ATOL) -> bool:
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def kron_all(mats) -> np.ndarray:
-    return reduce(np.kron, [np.asarray(m) for m in mats])
 
 
 def ket(i: int, d: int) -> np.ndarray:
@@ -257,15 +252,31 @@ def majorizes(v, u, tol: float = ATOL) -> bool:
     return bool(np.all(np.cumsum(v) >= np.cumsum(u) - tol))
 
 
-def purify(state: DensityOperator) -> DensityOperator:
-    """Canonical spectral purification; the reference system is appended last."""
+def _spectral_amplitudes(state: DensityOperator):
+    """Canonical purification amplitudes of ``state`` and its rank.
+
+    Column k of ``amps`` (side x rank) is sqrt(lambda_k) v_k for the
+    eigenvalues above ``EIG_CUTOFF`` in descending order, renormalized so the
+    kept spectrum sums to 1; ``amps.reshape(-1)`` is the purification vector
+    with the reference index fastest.  Costs one eigensolve of the state's side.
+    """
     vals, vecs = eigh_desc(state.mat)
     vals = np.clip(vals, 0.0, None)
     rank = max(1, int(np.sum(vals > EIG_CUTOFF)))
     amps = vecs[:, :rank] * np.sqrt(vals[:rank])
-    vec = amps.reshape(-1)  # index (system, reference), reference fastest
-    vec = vec / np.linalg.norm(vec)
-    return pure(vec, state.dims + (rank,))
+    return amps / np.linalg.norm(amps), rank
+
+
+def purify(state: DensityOperator) -> DensityOperator:
+    """Canonical spectral purification; the reference system is appended last.
+
+    Builds and validates the full pure state of side n*rank (n the state's
+    side), so its eigen-check costs O((n*rank)^3).  The library computes the
+    dual and the teleport channel from :func:`_spectral_amplitudes` instead;
+    this stays the public reference for them.
+    """
+    amps, rank = _spectral_amplitudes(state)
+    return pure(amps.reshape(-1), state.dims + (rank,))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,8 @@ def simulate_state_game(
 ) -> SimResult:
     if rounds < 1:
         raise ValueError("rounds must be positive")
+    if game.p_adv > 0.0 and adversary is None:
+        raise ValueError("game has p_adv > 0 but no adversary was given")
     g = rng(seed)
     t = game.host.t
     adv_mask = g.random(rounds) < game.p_adv if game.p_adv > 0.0 else np.zeros(rounds, dtype=bool)
@@ -84,7 +86,7 @@ def simulate_state_game(
     plain_table = _joint_outcome_table(state, strategy.bob_basis)
     wins += _play_rounds(g, plain_table, strategy.answer, t, rounds - n_adv)
     if n_adv:
-        scrambled = scramble(state, adversary.basis, adversary.partition) if adversary is not None else state
+        scrambled = scramble(state, adversary.basis, adversary.partition)
         adv_table = _joint_outcome_table(scrambled, strategy.bob_basis)
         wins += _play_rounds(g, adv_table, strategy.answer, t, n_adv)
     return _result(wins, rounds, seed)

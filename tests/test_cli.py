@@ -8,10 +8,10 @@ import pytest
 from qce import channels as qc
 from qce import serialize as ser
 from qce.channel_games import bell_game
-from qce.classical import ClassicalJoint, random_host
+from qce.classical import ClassicalJoint, HostMatrix, random_host
 from qce.cli import main
 from qce.entropy import DMAX, UMEGAKI
-from qce.linalg import max_entangled, permutation_matrix
+from qce.linalg import density, ket, kron, max_entangled, permutation_matrix, proj
 from qce.state_games import StateGameSpec
 
 SEED = 20240826
@@ -153,6 +153,27 @@ def test_simulate_state_max_entangled(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["rounds"] == 200
     assert obj["wins"] == 200
+
+
+def test_simulate_state_replays_the_adversary(tmp_path, capsys):
+    # |0><0| (x) |+><+| under a full adversary: state-reward gives 1/2, and the
+    # replay must scramble Alice's share in the adversary rounds to match it
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    state = _write_json(tmp_path, "prod.json", ser.encode_density(density(kron(proj(ket(0, 2)), proj(plus)), (2, 2))))
+    game = _write_json(
+        tmp_path, "game.json", ser.encode_state_game(StateGameSpec(HostMatrix([[1.0], [0.0]]), p_adv=1.0)),
+    )
+    code, out = _run(capsys, ["state-reward", "--state", state, "--game", game, "--restarts", "2", "--seed", "3"])
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert abs(value - 0.5) < 1e-6
+    code, out = _run(capsys, [
+        "simulate", "--state", state, "--game", game,
+        "--rounds", "4000", "--restarts", "2", "--seed", "3",
+    ])
+    assert code == 0
+    obj = json.loads(out)
+    assert abs(obj["win_rate"] - value) <= 5 * obj["std_err"]
 
 
 def test_simulate_channel_deterministic_bytes(tmp_path, capsys):

@@ -125,15 +125,19 @@ def test_semicausal_from_parts_product():
 
 
 def test_semicausal_from_parts_random():
+    # R with one factor (2,) and with two factors (2, 2); |B'| = |B|
     g = rng(SEED + 2)
-    for trial in range(20):
-        blocks = np.linalg.qr(g.normal(size=(4, 4)) + 1j * g.normal(size=(4, 4)))[0][:, :2]
-        f = qc.QuantumChannel((2,), (2, 2), (blocks,))
-        e = qc.random_channel(4, 2, seed=g)
-        e = qc.QuantumChannel((2, 2), (2,), e.kraus)
-        ch = semicausal_from_parts(f, e)
-        assert is_semicausal(ch), f"seed stream trial {trial}"
-        assert semicausal_choi_violation(ch) <= TOL
+    for r_dims, db, n_trials in (((2,), 2, 20), ((2, 2), 3, 5)):
+        r = int(np.prod(r_dims))
+        for trial in range(n_trials):
+            blocks = np.linalg.qr(g.normal(size=(r * db, r * db)) + 1j * g.normal(size=(r * db, r * db)))[0][:, :db]
+            f = qc.QuantumChannel((db,), r_dims + (db,), (blocks,))
+            e = qc.random_channel(r * 2, 2, seed=g)
+            e = qc.QuantumChannel(r_dims + (2,), (2,), e.kraus)
+            ch = semicausal_from_parts(f, e)
+            assert ch.in_dims == (2, db) and ch.out_dims == (2, db)
+            assert is_semicausal(ch), f"seed stream trial {trial}, R dims {r_dims}"
+            assert semicausal_choi_violation(ch) <= TOL
 
 
 def test_teleport_reaches_uniform_target():
@@ -155,10 +159,13 @@ def test_teleport_reaches_antisymmetric_like_target():
 
 def test_teleport_random_targets():
     g = rng(SEED + 3)
-    for _ in range(5):
-        target = random_density((2, 2), seed=g)
+    cases = [((2, 2), None)] * 5 + [((4, 4), None), ((3, 3), 1)]
+    for dims, rank in cases:
+        target = random_density(dims, rank=rank, seed=g)
         ch = teleport_cusc(target)
-        np.testing.assert_allclose(qc.apply(ch, max_entangled(2)).mat, target.mat, atol=1e-9)
+        d = dims[0]
+        assert len(ch.kraus) == d * d * (rank or d * d)
+        np.testing.assert_allclose(qc.apply(ch, max_entangled(d)).mat, target.mat, atol=1e-9)
         assert is_cusc(ch).max_violation <= TOL
 
 

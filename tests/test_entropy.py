@@ -23,8 +23,10 @@ from qce.linalg import (
     ket,
     max_entangled,
     maximally_mixed,
+    partial_trace,
     permute_systems,
     pure,
+    purify,
     random_density,
     random_pure,
     rng,
@@ -143,6 +145,28 @@ def test_vn_self_duality():
     for _ in range(N_TRIALS):
         s = random_density((2, 2), seed=g)
         assert abs(dual_cond_entropy(vn_cond_entropy, s) - vn_cond_entropy(s)) < 1e-7
+
+
+def test_dual_matches_explicit_purification():
+    # reference: -h on (A, reference) of the full canonical purification
+    g = rng(SEED + 10)
+    scores = (
+        lambda s: cond_entropy_down(s, UMEGAKI),
+        lambda s: cond_entropy_down(s, DMAX),
+        vn_cond_entropy,
+    )
+    for dims in ((2, 2), (2, 3), (3, 4), (4, 5)):
+        for rank in (None, 1, 2):
+            s = random_density(dims, rank=rank, seed=g)
+            for h in scores:
+                want = -h(partial_trace(purify(s), [0, 2]))
+                assert abs(dual_cond_entropy(h, s) - want) < 1e-12, (dims, rank)
+
+
+def test_umegaki_self_duality_8x8():
+    s = random_density((8, 8), seed=SEED + 11)
+    want = cond_entropy_down(s, UMEGAKI)
+    assert abs(dual_cond_entropy(lambda x: cond_entropy_down(x, UMEGAKI), s) - want) < 1e-7
 
 
 def test_dual_on_product_states():

@@ -1,6 +1,7 @@
 """Monte Carlo round simulation as a statistical oracle."""
 
 import numpy as np
+import pytest
 
 from qce import channels as qc
 from qce.classical import fixed_w_host, prob_t, random_host, random_joint, embed_classical
@@ -74,6 +75,9 @@ def test_adversary_coin_interpolates():
     assert _sigma_band(res_on, 0.5)
     res_half = simulate_state_game(phi, StateGameSpec(host, 0.5), strat, adv, rounds=ROUNDS, seed=SEED)
     assert _sigma_band(res_half, 0.75)
+    # adversary rounds without an adversary are refused, not replayed unscrambled
+    with pytest.raises(ValueError, match="adversary"):
+        simulate_state_game(phi, StateGameSpec(host, 0.5), strat, rounds=ROUNDS, seed=SEED)
 
 
 def test_seeded_runs_are_bitwise_identical():

@@ -71,12 +71,8 @@ class ChannelRewardReport:
 
 
 @dataclass(frozen=True)
-class ChannelOpts:
-    restarts: int = 32
-    sweeps: int = 2
-    seed: int = 0
+class ChannelOpts(OptOpts):
     kraus_rank: int | None = None  # environment dimension; default |A|^2
-    step: float = 0.5
 
 
 def bell_game(p) -> ChannelGameSpec:
@@ -218,7 +214,7 @@ def channel_reward(
     env = opts.kraus_rank if opts.kraus_rank is not None else da * da
     side = n.din * env
     fast = _SearchObjective(n, game, da, db, env)
-    v, _, used = search_isometry(fast, side, da, OptOpts(opts.restarts, opts.sweeps, opts.seed, opts.step))
+    v, _, used = search_isometry(fast, side, da, opts)
     e_found = fast.channel(v)
     val = channel_reward_fixed(n, e_found, game)
     if val > best_val + 1e-15:

@@ -10,12 +10,12 @@ Feasibility is decided by a linear program over the products Z = t * D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .linalg import ATOL, DensityOperator, rng
+from .linalg import ATOL, DensityOperator, random_doubly_stochastic, rng
 
 LP_ATOL = 1e-7
 GAME_GAP = 1e-6
@@ -291,16 +291,7 @@ def random_host(n_w: int, n_zprime: int, seed=0) -> HostMatrix:
 def random_cds_data(m: int, n_terms: int, seed=0):
     """Doubly stochastic E factors and a matching row-stochastic split of R."""
     g = rng(seed)
-    es = []
-    for _ in range(n_terms):
-        ws = g.dirichlet(np.ones(3))
-        e = np.zeros((m, m))
-        for w in ws:
-            perm = g.permutation(m)
-            pmat = np.zeros((m, m))
-            pmat[perm, np.arange(m)] = 1.0
-            e += w * pmat
-        es.append(e)
+    es = [random_doubly_stochastic(m, g, n_perms=3) for _ in range(n_terms)]
     split = g.dirichlet(np.ones(n_terms), size=1)[0]
     rs = []
     for j in range(n_terms):

@@ -28,7 +28,7 @@ from .channel_games import (
 from .classical import LpSolverError, cond_majorizes_classical, prob_t
 from .cusc import is_cusc
 from .entropy import DMAX, UMEGAKI, cond_entropy_down, dual_cond_entropy
-from .linalg import haar_unitary, ket, proj, random_density
+from .linalg import haar_unitary, proj, random_density
 from .mc_sim import simulate_channel_game, simulate_state_game
 from .optim import OptOpts
 from .state_games import reward as state_reward

@@ -37,6 +37,7 @@ from .linalg import (
     max_entangled_vec,
     proj,
     random_density,
+    random_doubly_stochastic,
     rng,
     weyl_unitaries,
 )
@@ -337,7 +338,7 @@ def random_cusc(da: int, db: int, seed=0) -> qc.QuantumChannel:
         return qc.QuantumChannel((da, db), (da, db), tuple(ks))
     if kind == "cds":
         n_terms = int(g.integers(1, 3))
-        ds = [_random_doubly_stochastic(da, g) for _ in range(n_terms)]
+        ds = [random_doubly_stochastic(da, g) for _ in range(n_terms)]
         instrument = qc.random_channel(db, db, kraus_rank=max(n_terms, db), seed=g)
         groups = [list(instrument.kraus[j::n_terms]) for j in range(n_terms)]
         groups = [gr if gr else [np.zeros((db, db), dtype=complex)] for gr in groups]
@@ -359,14 +360,3 @@ def _haar(d, g):
 def _haar_vec(d, g):
     v = g.standard_normal(d) + 1j * g.standard_normal(d)
     return v / np.linalg.norm(v)
-
-
-def _random_doubly_stochastic(m, g, n_perms: int = 4):
-    ws = g.dirichlet(np.ones(n_perms))
-    out = np.zeros((m, m))
-    for w in ws:
-        perm = g.permutation(m)
-        p = np.zeros((m, m))
-        p[perm, np.arange(m)] = 1.0
-        out += w * p
-    return out

@@ -312,6 +312,19 @@ def random_pmf(n: int, seed=0) -> np.ndarray:
     return g.dirichlet(np.ones(n))
 
 
+def random_doubly_stochastic(m: int, seed=0, n_perms: int = 4) -> np.ndarray:
+    """Dirichlet-weighted mixture of ``n_perms`` random m x m permutation matrices."""
+    g = rng(seed)
+    ws = g.dirichlet(np.ones(n_perms))
+    out = np.zeros((m, m))
+    for w in ws:
+        perm = g.permutation(m)
+        p = np.zeros((m, m))
+        p[perm, np.arange(m)] = 1.0
+        out += w * p
+    return out
+
+
 def random_pure(dims, seed=0) -> DensityOperator:
     g = rng(seed)
     side = int(np.prod(tuple(dims)))

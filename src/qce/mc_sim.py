@@ -16,7 +16,7 @@ import numpy as np
 from . import channels as qc
 from .channel_games import ChannelGameSpec
 from .linalg import DensityOperator, rng
-from .state_games import Adversary, StateGameSpec, StateStrategy, bipartite_dims, scramble
+from .state_games import Adversary, StateGameSpec, StateStrategy, _conditioned_eigs, bipartite_dims, scramble
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,7 @@ def _sample_categorical(g: np.random.Generator, probs: np.ndarray, size: int) ->
 
 def _joint_outcome_table(state: DensityOperator, basis: np.ndarray) -> np.ndarray:
     """P(z, y): Bob outcome z and Alice rank y (eigenvalues of the conditioned ops)."""
-    da, db = bipartite_dims(state)
-    r4 = state.mat.reshape(da, db, da, db)
-    ops = np.einsum("aicj,iz,jz->zac", r4, basis.conj(), basis)
-    lam = np.linalg.eigvalsh(ops)[:, ::-1]
-    lam = np.clip(lam, 0.0, None)
+    lam = _conditioned_eigs(state, basis)
     return lam / lam.sum()
 
 

@@ -1,20 +1,17 @@
 """Derivative-free search over unitaries and isometries.
 
-Unitaries are parametrized as a product of complex Givens rotations (one
-theta/lambda pair per plane) followed by a diagonal phase layer, which is
-enough to reach every unitary; isometries use the same rotation family
-restricted to the planes that act on the occupied columns of the padded
-space.  The optimizer is plain coordinate descent over the angles with
-seeded random restarts plus caller-supplied structured starts; restarts are
-reduced deterministically (best value, ties broken by restart index), so
-results are reproducible for a fixed seed regardless of the ``QCE_THREADS``
-parallelism cap.
+An n x k isometry is the first k columns of a product of complex Givens
+rotations, one theta/lambda pair per plane that touches an occupied column,
+applied to a diagonal phase layer; this family reaches every n x k isometry,
+and with k = n every unitary.  One driver, ``search_isometry``, runs plain
+coordinate descent over the angles from a fixed list of starts (structured
+ones first, then seeded random restarts) and keeps the first best start, so
+results are reproducible for a fixed seed.  ``search_unitary`` is its k = n
+case.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,30 +25,6 @@ class OptOpts:
     sweeps: int = 2
     seed: int = 0
     step: float = 0.5
-
-
-def n_params(n: int) -> int:
-    return n * n  # n(n-1)/2 thetas + n(n-1)/2 lambdas + n phases
-
-
-def unitary_from_params(n: int, params: np.ndarray) -> np.ndarray:
-    params = np.asarray(params, dtype=float)
-    n_pairs = n * (n - 1) // 2
-    thetas = params[:n_pairs]
-    lams = params[n_pairs: 2 * n_pairs]
-    phases = params[2 * n_pairs:]
-    u = np.diag(np.exp(1j * phases)).astype(complex)
-    k = 0
-    for j in range(n):
-        for i in range(j + 1, n):
-            c = np.cos(thetas[k])
-            s = np.sin(thetas[k])
-            e = np.exp(1j * lams[k])
-            row_j = u[j].copy()
-            u[j] = c * row_j - np.conj(e) * s * u[i]
-            u[i] = e * s * row_j + c * u[i]
-            k += 1
-    return u
 
 
 def n_iso_params(n: int, k: int) -> int:
@@ -104,73 +77,54 @@ def _coordinate_descent(f, params: np.ndarray, opts: OptOpts):
     return params, best
 
 
-def max_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QCE_THREADS", "1")))
-    except ValueError:
-        return 1
+def search_isometry(objective, n: int, k: int, opts: OptOpts | None = None, structured=None, minimize: bool = False):
+    """Optimize ``objective(V)`` over n x k isometries (V+ V = I_k).
 
+    Coordinate descent runs from each start in order.  First come the
+    structured starts: one per n x n unitary U0 in ``structured``, searching
+    U0 @ V from zero angles, or, when ``structured`` is None, the single
+    zero-angle start V = padded identity.  Then come ``opts.restarts``
+    random angle vectors seeded from ``opts.seed``.  The first start with the
+    best value wins; a later start must beat it by more than 1e-15.  With
+    ``minimize`` the objective is minimized instead.
 
-def _run_all(run, starts):
-    workers = max_threads()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, starts))
-    return [run(s) for s in starts]
-
-
-def _best(results):
-    best_idx = 0
-    for i in range(1, len(results)):
-        if results[i][1] > results[best_idx][1] + 1e-15:
-            best_idx = i
-    return results[best_idx]
-
-
-def search_unitary(objective, n: int, opts: OptOpts | None = None, structured=(), minimize: bool = False):
-    """Optimize ``objective(U)`` over n x n unitaries.
-
-    ``structured`` unitaries are used as fixed prefixes that coordinate
-    descent perturbs from the identity; random restarts start from random
-    angles.  Returns (best_unitary, best_value, restarts_used).
+    Returns (best_isometry, best_value, restarts_used), where restarts_used
+    is the number of starts: len(structured) (1 when None) + opts.restarts.
     """
     opts = opts or OptOpts()
     sign = -1.0 if minimize else 1.0
+    npar = n_iso_params(n, k)
+    if structured is None:
+        starts = [(None, np.zeros(npar))]
+    else:
+        starts = [(np.asarray(u0, dtype=complex), np.zeros(npar)) for u0 in structured]
+    for g in spawn_rngs(opts.seed, max(opts.restarts, 0)):
+        starts.append((None, g.uniform(-np.pi, np.pi, size=npar)))
+    if not starts:
+        raise ValueError("search needs a structured start or opts.restarts > 0")
+
+    best_v, best_val = None, 0.0
+    for u0, p0 in starts:
+        def build(p):
+            v = isometry_from_params(n, k, p)
+            return v if u0 is None else u0 @ v
+
+        p, val = _coordinate_descent(lambda p: sign * objective(build(p)), p0, opts)
+        if best_v is None or val > best_val + 1e-15:
+            best_v, best_val = build(p), val
+    return best_v, sign * best_val, len(starts)
+
+
+def search_unitary(objective, n: int, opts: OptOpts | None = None, structured=(), minimize: bool = False):
+    """Optimize ``objective(U)`` over n x n unitaries: ``search_isometry`` with k = n.
+
+    The starts are one per unitary in ``structured`` (an empty sequence adds
+    none), then ``opts.restarts`` seeded random ones, so restarts_used is
+    len(structured) + opts.restarts.  For n = 1 the only unitary [[1]] is
+    scored and restarts_used is 0.  Returns (best_unitary, best_value,
+    restarts_used).
+    """
     if n == 1:
         u = np.ones((1, 1), dtype=complex)
         return u, objective(u), 0
-
-    starts = [(np.asarray(u0, dtype=complex), np.zeros(n_params(n))) for u0 in structured]
-    eye = np.eye(n, dtype=complex)
-    for g in spawn_rngs(opts.seed, max(opts.restarts, 0)):
-        starts.append((eye, g.uniform(-np.pi, np.pi, size=n_params(n))))
-
-    def run(start):
-        u0, p0 = start
-        fn = lambda p: sign * objective(u0 @ unitary_from_params(n, p))
-        p, val = _coordinate_descent(fn, p0.copy(), opts)
-        return u0 @ unitary_from_params(n, p), val
-
-    u, val = _best(_run_all(run, starts))
-    return u, sign * val, len(starts)
-
-
-def search_isometry(objective, n: int, k: int, opts: OptOpts | None = None):
-    """Optimize ``objective(V)`` over n x k isometries (V+ V = I_k).
-
-    Returns (best_isometry, best_value, restarts_used).  The zero-angle
-    start (V = padded identity) is always included.
-    """
-    opts = opts or OptOpts()
-    npar = n_iso_params(n, k)
-    starts = [np.zeros(npar)]
-    for g in spawn_rngs(opts.seed, max(opts.restarts, 0)):
-        starts.append(g.uniform(-np.pi, np.pi, size=npar))
-
-    def run(p0):
-        fn = lambda p: objective(isometry_from_params(n, k, p))
-        p, val = _coordinate_descent(fn, p0.copy(), opts)
-        return isometry_from_params(n, k, p), val
-
-    v, val = _best(_run_all(run, starts))
-    return v, val, len(starts)
+    return search_isometry(objective, n, n, opts, tuple(structured), minimize)

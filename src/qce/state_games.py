@@ -20,12 +20,10 @@ import numpy as np
 from .classical import HostMatrix, fixed_w_host, random_host
 from .linalg import (
     DensityOperator,
-    _permute_mat,
     _trace_out,
     eigh_desc,
     fourier_matrix,
     kron,
-    proj,
     rng,
 )
 from .optim import OptOpts, search_unitary
@@ -72,14 +70,18 @@ def bipartite_dims(state: DensityOperator):
     raise ValueError("state must have one or two subsystems")
 
 
-def _conditioned_spectra(state: DensityOperator, basis: np.ndarray, n_w: int):
-    """Saturated Ky-Fan prefix table of <b_z| rho |b_z>, shape (dB, n_w)."""
+def _conditioned_eigs(state: DensityOperator, basis: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of each <b_z| rho |b_z>, clipped at 0; shape (dB, dA)."""
     da, db = bipartite_dims(state)
     r4 = state.mat.reshape(da, db, da, db)
     ops = np.einsum("aicj,iz,jz->zac", r4, basis.conj(), basis)
-    lams = np.linalg.eigvalsh(ops)[:, ::-1]
-    lams = np.clip(lams, 0.0, None)
-    pref = np.cumsum(lams, axis=1)
+    return np.clip(np.linalg.eigvalsh(ops)[:, ::-1], 0.0, None)
+
+
+def _conditioned_spectra(state: DensityOperator, basis: np.ndarray, n_w: int):
+    """Saturated Ky-Fan prefix table of <b_z| rho |b_z>, shape (dB, n_w)."""
+    pref = np.cumsum(_conditioned_eigs(state, basis), axis=1)
+    da = pref.shape[1]
     if n_w <= da:
         return pref[:, :n_w]
     pad = np.repeat(pref[:, -1:], n_w - da, axis=1)
@@ -176,8 +178,8 @@ def reward_adv(
 
     The adversary ranges over all partitions of Alice's basis labels (the
     trivial partition acts as identity) and a searched measurement basis;
-    Bob's inner maximization always sees the adversary's conjugate basis as
-    a structured candidate.
+    Bob's inner maximization sees the adversary's conjugate basis as a
+    structured candidate when |A| = |B|.
     """
     da, db = bipartite_dims(state)
     opts = opts or OptOpts(restarts=8, sweeps=1)
@@ -194,7 +196,7 @@ def reward_adv(
 
         def objective(u):
             scrambled = scramble(state, u, partition)
-            return reward_noadv(scrambled, host, inner_opts, extra_bases=(u.conj(),)).value
+            return reward_noadv(scrambled, host, inner_opts, extra_bases=(u.conj(),) if da == db else ()).value
 
         u, value, n_used = search_unitary(objective, da, opts, structured=_structured_adv_bases(state), minimize=True)
         used += n_used

@@ -11,7 +11,7 @@ from qce.channel_games import bell_game
 from qce.classical import ClassicalJoint, HostMatrix, random_host
 from qce.cli import main
 from qce.entropy import DMAX, UMEGAKI
-from qce.linalg import density, ket, kron, max_entangled, permutation_matrix, proj
+from qce.linalg import density, ket, kron, max_entangled, permutation_matrix, proj, random_density
 from qce.state_games import StateGameSpec
 
 SEED = 20240826
@@ -67,6 +67,18 @@ def test_state_reward_max_entangled(tmp_path, capsys):
     obj = json.loads(out)
     assert abs(obj["value"] - 1.0) < 1e-6
     assert obj["p_adv"] == 0.0
+
+
+def test_state_reward_adversary_on_unequal_sides(tmp_path, capsys):
+    state = _write_json(tmp_path, "s.json", ser.encode_density(random_density((2, 3), seed=SEED)))
+    game = _write_json(
+        tmp_path, "game.json", ser.encode_state_game(StateGameSpec(random_host(2, 3, seed=SEED), p_adv=1.0)),
+    )
+    code, out = _run(capsys, ["state-reward", "--state", state, "--game", game, "--restarts", "2", "--seed", "1"])
+    assert code == 0
+    obj = json.loads(out)
+    assert 0.0 <= obj["value"] <= 1.0
+    assert obj["p_adv"] == 1.0
 
 
 def test_channel_reward_identity_bell(tmp_path, capsys):

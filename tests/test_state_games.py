@@ -91,13 +91,15 @@ def test_max_entangled_immune_to_adversary():
 
 
 def test_adversary_never_helps():
+    # |A| != |B| included: Bob's search then gets no adversary-derived start
     g = rng(SEED + 3)
-    for trial in range(5):
-        state = random_density((2, 2), seed=g)
-        host = random_host(2, 2, seed=g)
-        free = reward_noadv(state, host, FAST).value
-        adv = reward_adv(state, host, FAST, inner_opts=OptOpts(restarts=2, sweeps=1)).value
-        assert adv <= free + 1e-9, f"trial {trial}"
+    for dims, trials in (((2, 2), 5), ((2, 3), 2), ((3, 2), 2)):
+        for trial in range(trials):
+            state = random_density(dims, seed=g)
+            host = random_host(dims[0], dims[1], seed=g)
+            free = reward_noadv(state, host, FAST).value
+            adv = reward_adv(state, host, FAST, inner_opts=OptOpts(restarts=2, sweeps=1)).value
+            assert adv <= free + 1e-9, f"dims {dims} trial {trial}"
 
 
 def test_reward_affine_in_p_adv():
@@ -147,9 +149,10 @@ def test_set_partitions_bell_numbers():
 
 
 def test_compare_states_self_consistent():
-    s = random_density((2, 2), seed=SEED)
-    v = compare_states(s, s, n_games=6, seed=SEED, opts=FAST)
-    assert v.consistent
+    for dims in ((2, 2), (2, 3)):
+        s = random_density(dims, seed=SEED)
+        v = compare_states(s, s, n_games=6, seed=SEED, opts=FAST)
+        assert v.consistent
 
 
 def test_compare_states_matches_majorization_at_trivial_b():

@@ -71,32 +71,35 @@ def bipartite_dims(state: DensityOperator):
 
 
 def _conditioned_eigs(state: DensityOperator, basis: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of each <b_z| rho |b_z>, clipped at 0; shape (dB, dA)."""
+    """Descending eigenvalues of each <b_z| rho |b_z>, clipped at 0; shape (..., dB, dA).
+
+    ``basis`` is one (dB, dB) basis or a stack (..., dB, dB).
+    """
     da, db = bipartite_dims(state)
     r4 = state.mat.reshape(da, db, da, db)
-    ops = np.einsum("aicj,iz,jz->zac", r4, basis.conj(), basis)
-    return np.clip(np.linalg.eigvalsh(ops)[:, ::-1], 0.0, None)
+    ops = np.einsum("aicj,...iz,...jz->...zac", r4, basis.conj(), basis)
+    return np.clip(np.linalg.eigvalsh(ops)[..., ::-1], 0.0, None)
 
 
 def _conditioned_spectra(state: DensityOperator, basis: np.ndarray, n_w: int):
-    """Saturated Ky-Fan prefix table of <b_z| rho |b_z>, shape (dB, n_w)."""
-    pref = np.cumsum(_conditioned_eigs(state, basis), axis=1)
-    da = pref.shape[1]
+    """Saturated Ky-Fan prefix table of <b_z| rho |b_z>, shape (..., dB, n_w)."""
+    pref = np.cumsum(_conditioned_eigs(state, basis), axis=-1)
+    da = pref.shape[-1]
     if n_w <= da:
-        return pref[:, :n_w]
-    pad = np.repeat(pref[:, -1:], n_w - da, axis=1)
-    return np.concatenate([pref, pad], axis=1)
+        return pref[..., :n_w]
+    pad = np.repeat(pref[..., -1:], n_w - da, axis=-1)
+    return np.concatenate([pref, pad], axis=-1)
 
 
 def reward_given_bob(state: DensityOperator, host: HostMatrix, bob_basis: np.ndarray) -> float:
     value, _ = _reward_and_answer(state, host, bob_basis)
-    return value
+    return float(value)
 
 
 def _reward_and_answer(state: DensityOperator, host: HostMatrix, bob_basis: np.ndarray):
-    pref = _conditioned_spectra(state, bob_basis, host.n_w)
-    scores = pref @ host.t         # (z, z')
-    return float(scores.max(axis=1).sum()), scores.argmax(axis=1)
+    """Bob's value and his best answer z' per outcome z, for one basis or a stack of them."""
+    scores = _conditioned_spectra(state, bob_basis, host.n_w) @ host.t  # (..., z, z')
+    return scores.max(axis=-1).sum(axis=-1), scores.argmax(axis=-1)
 
 
 def _structured_bob_bases(state: DensityOperator, extra=()):
@@ -114,9 +117,9 @@ def reward_noadv(state: DensityOperator, host: HostMatrix, opts: OptOpts | None 
     if db == 1:
         basis = np.ones((1, 1), dtype=complex)
         value, answer = _reward_and_answer(state, host, basis)
-        return RewardReport(value, StateStrategy(basis, answer), restarts_used=0)
+        return RewardReport(float(value), StateStrategy(basis, answer), restarts_used=0)
     opts = opts or OptOpts()
-    objective = lambda u: reward_given_bob(state, host, u)
+    objective = lambda us: _reward_and_answer(state, host, us)[0]
     u, value, used = search_unitary(objective, db, opts, structured=_structured_bob_bases(state, extra_bases))
     _, answer = _reward_and_answer(state, host, u)
     return RewardReport(float(value), StateStrategy(u, answer), restarts_used=used)
@@ -194,9 +197,11 @@ def reward_adv(
         if len(partition) == 1:
             continue  # trivial partition handled above
 
-        def objective(u):
+        def bob_value(u):
             scrambled = scramble(state, u, partition)
             return reward_noadv(scrambled, host, inner_opts, extra_bases=(u.conj(),) if da == db else ()).value
+
+        objective = lambda us: np.array([bob_value(u) for u in us])
 
         u, value, n_used = search_unitary(objective, da, opts, structured=_structured_adv_bases(state), minimize=True)
         used += n_used

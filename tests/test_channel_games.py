@@ -6,6 +6,7 @@ import pytest
 from qce import channels as qc
 from qce.channel_games import (
     AMP_DAMP_TABLE_NOTE,
+    FIXED_EVAL_ATOL,
     ChannelGameSpec,
     ChannelOpts,
     analytic_reward,
@@ -19,6 +20,7 @@ from qce.channel_games import (
     purity_game,
     spectrum_probe_games,
     zero_game,
+    _SearchObjective,
 )
 from qce.linalg import (
     dagger,
@@ -33,6 +35,8 @@ from qce.linalg import (
     random_density,
     rng,
 )
+from qce.optim import isometry_from_params, n_iso_params
+from qce.state_games import bipartite_dims
 
 SEED = 20240823
 FAST = ChannelOpts(restarts=4, sweeps=1, seed=SEED)
@@ -92,6 +96,28 @@ def test_reported_value_matches_fixed_evaluation():
         rep = channel_reward(ch, game, FAST)
         again = channel_reward_fixed(ch, rep.preprocessing, game)
         assert abs(rep.value - again) < 1e-12
+
+
+def test_search_objective_scores_a_stack_row_by_row():
+    g = rng(SEED + 7)
+    mixed = random_density((2, 2), seed=g)
+    games = [
+        bell_game((0.4, 0.3, 0.2, 0.1)),
+        zero_game((0.7, 0.3)),
+        ChannelGameSpec(((0.5, mixed), (0.3, max_entangled(2)), (0.2, mixed))),
+    ]
+    for ch in (qc.amplitude_damping(0.3), qc.random_channel(2, 3, seed=g)):
+        for game in games:
+            da, db = bipartite_dims(game.entries[0][1])
+            for env in (da * da, 1):
+                fast = _SearchObjective(ch, game, da, db, env)
+                side = ch.din * env
+                vs = isometry_from_params(side, da, g.uniform(-np.pi, np.pi, (6, n_iso_params(side, da))))
+                values = fast(vs)
+                assert values.shape == (6,)
+                for v, value in zip(vs, values):
+                    assert fast(v[None])[0].tobytes() == value.tobytes()
+                    assert abs(value - channel_reward_fixed(ch, fast.channel(v), game)) < FIXED_EVAL_ATOL
 
 
 def test_channel_reward_deterministic():

@@ -14,6 +14,7 @@ from qce.classical import (
 from qce.linalg import (
     density,
     eig_desc,
+    haar_unitary,
     ket,
     kron,
     majorizes,
@@ -27,6 +28,7 @@ from qce.linalg import (
 from qce.optim import OptOpts
 from qce.state_games import (
     StateGameSpec,
+    _reward_and_answer,
     compare_states,
     reward,
     reward_adv,
@@ -70,6 +72,19 @@ def test_classical_embedding_matches_prob_t():
         assert abs(got - prob_t(p, host)) < 1e-10, f"trial {trial}"
         # the optimized value can only improve on the computational basis
         assert reward_noadv(state, host, FAST).value >= got - 1e-9
+
+
+def test_stacked_bob_objective_matches_per_basis_reward():
+    g = rng(SEED + 9)
+    for dims in ((2, 2), (3, 3), (2, 3), (3, 2)):
+        state = random_density(dims, seed=g)
+        host = random_host(dims[0] + 1, 3, seed=g)  # n_w > |A| pads the saturated prefixes
+        bases = np.stack([haar_unitary(dims[1], seed=g) for _ in range(5)])
+        values, answers = _reward_and_answer(state, host, bases)
+        assert values.shape == (5,) and answers.shape == (5, dims[1])
+        for u, value, answer in zip(bases, values, answers):
+            assert np.float64(reward_given_bob(state, host, u)).tobytes() == value.tobytes()
+            np.testing.assert_array_equal(_reward_and_answer(state, host, u)[1], answer)
 
 
 def test_product_state_worst_case_qubit_game():

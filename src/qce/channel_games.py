@@ -49,7 +49,7 @@ class ChannelGameSpec:
         if not entries:
             raise ValueError("game needs at least one entry")
         ps = np.array([p for p, _ in entries])
-        if ps.min() < -ATOL or abs(ps.sum() - 1.0) > ATOL:
+        if not np.all(np.isfinite(ps)) or ps.min() < -ATOL or abs(ps.sum() - 1.0) > ATOL:
             raise ValueError("weights must form a probability vector")
         dims = entries[0][1].dims
         for _, s in entries:

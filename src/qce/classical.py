@@ -5,7 +5,11 @@ is Alice's symbol, column index Bob's.  The central decision procedure asks
 whether a source pair (P) can be steered into a target pair (Q) by a
 correlated redistribution: a row-stochastic host response T = (t_yw) and
 doubly stochastic blocks D_(y,w) with  q_w = sum_y t_yw D_(y,w) p_y.
-Feasibility is decided by a linear program over the products Z = t * D.
+Feasibility is decided by a linear program over the products Z = t * D, with
+both joints zero-padded to m rows.  Its nonnegative variables are Z[y, w, r, c]
+then t[y, w], each row-major; its equality rows are, in order: per block (y, w),
+the m row sums and then the m column sums of Z[y, w], each equal to t[y, w];
+per y, sum_w t[y, w] = 1; per (w, r), sum_(y, c) Z[y, w, r, c] p[c, y] = q[r, w].
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from .linalg import ATOL, DensityOperator, random_doubly_stochastic, rng
 
 LP_ATOL = 1e-7
 GAME_GAP = 1e-6
+N_WITNESS_HOSTS = 500
 
 
 class LpSolverError(RuntimeError):
@@ -33,6 +39,8 @@ class ClassicalJoint:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2:
             raise ValueError("joint distribution must be a matrix")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("joint distribution has non-finite entries")
         if p.min() < -1e-12:
             raise ValueError("joint distribution has negative entries")
         if abs(p.sum() - 1.0) > ATOL:
@@ -58,6 +66,8 @@ class HostMatrix:
         t = np.asarray(self.t, dtype=float)
         if t.ndim != 2:
             raise ValueError("host matrix must be a matrix")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("host matrix has non-finite entries")
         if t.min() < -1e-12:
             raise ValueError("host matrix has negative entries")
         if np.abs(t.sum(axis=0) - 1.0).max() > ATOL:
@@ -73,13 +83,20 @@ class HostMatrix:
         return self.t.shape[1]
 
 
-def _saturated_prefixes(col: np.ndarray, n_w: int) -> np.ndarray:
-    """Sums of the w largest entries for w = 1..n_w, clamped at the full sum."""
-    desc = np.sort(col)[::-1]
-    pref = np.cumsum(desc)
-    if n_w <= desc.size:
-        return pref[:n_w]
-    return np.concatenate([pref, np.full(n_w - desc.size, pref[-1])])
+def _saturated_prefixes(desc: np.ndarray, n_w: int) -> np.ndarray:
+    """Prefix sums of descending values along the last axis for w = 1..n_w, clamped at the full sum."""
+    pref = np.cumsum(desc, axis=-1)
+    size = pref.shape[-1]
+    if n_w <= size:
+        return pref[..., :n_w]
+    return np.concatenate([pref, np.repeat(pref[..., -1:], n_w - size, axis=-1)], axis=-1)
+
+
+def _game_values(joint: ClassicalJoint, ts: np.ndarray) -> np.ndarray:
+    """Game values of one joint for a stack of host tables (..., n_w, n_zprime)."""
+    desc = np.sort(joint.p.T, axis=-1)[:, ::-1]
+    pref = _saturated_prefixes(desc, ts.shape[-2])  # (n, n_w): row y is column y of the joint
+    return (pref @ ts).max(axis=-1).sum(axis=-1)
 
 
 def prob_t(joint: ClassicalJoint, host: HostMatrix) -> float:
@@ -89,18 +106,14 @@ def prob_t(joint: ClassicalJoint, host: HostMatrix) -> float:
     masses of the joint column is chosen; the column is unnormalized, which
     folds the probability of y into the score.
     """
-    total = 0.0
-    for y in range(joint.n):
-        pref = _saturated_prefixes(joint.p[:, y], host.n_w)
-        total += float((pref @ host.t).max())
-    return total
+    return float(_game_values(joint, host.t))
 
 
 def fixed_w_value(joint: ClassicalJoint, w: int) -> float:
     """Game value when the prize index is pinned to w (deterministic host)."""
     if w < 1:
         raise ValueError("w must be at least 1")
-    return sum(float(_saturated_prefixes(joint.p[:, y], w)[-1]) for y in range(joint.n))
+    return prob_t(joint, fixed_w_host(w, w))
 
 
 def fixed_w_host(w: int, n_w: int, n_zprime: int = 1) -> HostMatrix:
@@ -124,94 +137,67 @@ class MajorizationVerdict:
     gap: float
 
 
-def _pad_rows(a: np.ndarray, m: int) -> np.ndarray:
-    if a.shape[0] == m:
-        return a
-    out = np.zeros((m, a.shape[1]))
-    out[: a.shape[0], :] = a
-    return out
+def _lp_system(pm: np.ndarray, qm: np.ndarray):
+    """Sparse ``A_eq`` and ``b_eq`` of the majorization LP, in the row layout of the module docstring."""
+    m, n = pm.shape
+    n_prime = qm.shape[1]
+    n_blocks = n * n_prime
+    n_z = n_blocks * m * m
+    z = np.arange(n_z).reshape(n, n_prime, m, m)   # variable index of Z[y, w, r, c]
+    r = np.arange(m)
+    n_block_rows = 2 * m * n_blocks
+    block_start = 2 * m * np.arange(n_blocks).reshape(n, n_prime, 1, 1)
+    target_row = n_block_rows + n + (np.arange(n_prime)[:, None] * m + r)[:, :, None]  # row of (w, r)
+
+    def full(a):
+        return np.broadcast_to(a, z.shape).ravel()
+
+    block_rows = np.arange(n_block_rows)
+    rows = np.concatenate([
+        full(block_start + r[:, None]),           # row sums of block (y, w), indexed by r
+        full(block_start + m + r),                # its column sums, indexed by c
+        block_rows,                               # -t_yw in each of those 2m rows
+        n_block_rows + np.arange(n_blocks) // n_prime,
+        full(target_row),
+    ])
+    cols = np.concatenate([z.ravel(), z.ravel(), n_z + block_rows // (2 * m), n_z + np.arange(n_blocks), z.ravel()])
+    vals = np.concatenate([np.ones(2 * n_z), -np.ones(n_block_rows), np.ones(n_blocks), full(pm.T[:, None, None, :])])
+    keep = vals != 0.0                            # zero-padded rows of P store no entries
+    shape = (n_block_rows + n + n_prime * m, n_z + n_blocks)
+    a_eq = coo_array((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    b_eq = np.concatenate([np.zeros(n_block_rows), np.ones(n), qm.T.ravel()])
+    return a_eq, b_eq
+
+
+def _rebuild_target(t: np.ndarray, ds: np.ndarray, pm: np.ndarray) -> np.ndarray:
+    """sum_y t_yw D_(y,w) p_y for every w, shape (m, n_prime)."""
+    moved = (ds @ pm.T[:, None, :, None])[..., 0]   # D_(y,w) p_y, shape (n, n_prime, m)
+    return (t[:, :, None] * moved).sum(axis=0).T
 
 
 def cond_majorizes_classical(
     p: ClassicalJoint,
     q: ClassicalJoint,
     tol: float = LP_ATOL,
-    search_witness: bool = True,
-    n_witness_hosts: int = 500,
     seed: int = 0,
 ) -> MajorizationVerdict:
     """Decide whether Q is reachable from P by a host-correlated redistribution."""
-    m = max(p.m, q.m)
-    pm = _pad_rows(p.p, m)
-    qm = _pad_rows(q.p, m)
-    n = pm.shape[1]
-    n_prime = qm.shape[1]
-
-    n_z = n * n_prime * m * m
-    n_t = n * n_prime
-    n_vars = n_z + n_t
-
-    def z_index(y, w, r, c):
-        return ((y * n_prime + w) * m + r) * m + c
-
-    def t_index(y, w):
-        return n_z + y * n_prime + w
-
-    rows, cols, vals, b = [], [], [], []
-
-    def add_row(entries, rhs):
-        r = len(b)
-        for c, v in entries:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        b.append(rhs)
-
-    for y in range(n):
-        for w in range(n_prime):
-            for r in range(m):
-                add_row([(z_index(y, w, r, c), 1.0) for c in range(m)] + [(t_index(y, w), -1.0)], 0.0)
-            for c in range(m):
-                add_row([(z_index(y, w, r, c), 1.0) for r in range(m)] + [(t_index(y, w), -1.0)], 0.0)
-    for y in range(n):
-        add_row([(t_index(y, w), 1.0) for w in range(n_prime)], 1.0)
-    for w in range(n_prime):
-        for r in range(m):
-            add_row(
-                [(z_index(y, w, r, c), float(pm[c, y])) for y in range(n) for c in range(m)],
-                float(qm[r, w]),
-            )
-
-    a_eq = np.zeros((len(b), n_vars))
-    a_eq[rows, cols] = vals
-    res = linprog(
-        c=np.zeros(n_vars),
-        A_eq=a_eq,
-        b_eq=np.array(b),
-        bounds=[(0.0, None)] * n_vars,
-        method="highs",
-    )
+    m, n, n_prime = max(p.m, q.m), p.n, q.n
+    pm, qm = (np.pad(j.p, ((0, m - j.m), (0, 0))) for j in (p, q))
+    a_eq, b_eq = _lp_system(pm, qm)
+    lp = dict(c=np.zeros(a_eq.shape[1]), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None))
+    res = linprog(**lp, method="highs")
+    if res.status == 4:  # dual simplex can fail numerically on nearly feasible pairs; interior point decides them
+        res = linprog(**lp, method="highs-ipm")
     if res.status == 2:
-        witness = _search_witness(p, q, n_witness_hosts, seed) if search_witness else None
-        return MajorizationVerdict(False, None, witness, 0.0)
+        return MajorizationVerdict(False, None, _search_witness(p, q, seed), 0.0)
     if res.status != 0:
         raise LpSolverError(f"LP backend failed with status {res.status}: {res.message}")
 
-    x = res.x
-    t = x[n_z:].reshape(n, n_prime)
-    ds = np.zeros((n, n_prime, m, m))
-    for y in range(n):
-        for w in range(n_prime):
-            block = x[z_index(y, w, 0, 0): z_index(y, w, 0, 0) + m * m].reshape(m, m)
-            if t[y, w] > 1e-12:
-                ds[y, w] = block / t[y, w]
-            else:
-                ds[y, w] = np.full((m, m), 1.0 / m)
-    recon = np.zeros((m, n_prime))
-    for w in range(n_prime):
-        for y in range(n):
-            recon[:, w] += t[y, w] * (ds[y, w] @ pm[:, y])
-    residual = float(np.abs(recon - qm).max())
+    n_z = n * n_prime * m * m
+    z, t = res.x[:n_z].reshape(n, n_prime, m, m), res.x[n_z:].reshape(n, n_prime)
+    ds = np.divide(z, t[..., None, None], out=np.full(z.shape, 1.0 / m), where=t[..., None, None] > 1e-12)
+    residual = float(np.abs(_rebuild_target(t, ds, pm) - qm).max())
     residual = max(residual, float(np.abs(t.sum(axis=1) - 1.0).max()))
     if residual > tol:
         raise LpSolverError(f"LP returned a certificate with residual {residual:.2e} above {tol:.0e}")
@@ -223,25 +209,25 @@ def uniform_target_certificate(p: ClassicalJoint, q_cols: int = 1) -> Majorizati
     m, n = p.m, p.n
     t = np.full((n, q_cols), 1.0 / q_cols)
     ds = np.full((n, q_cols, m, m), 1.0 / m)
-    q = np.zeros((m, q_cols))
-    for w in range(q_cols):
-        for y in range(n):
-            q[:, w] += t[y, w] * (ds[y, w] @ p.p[:, y])
     target = np.full((m, q_cols), 1.0 / (m * q_cols))
-    return MajorizationCertificate(t, ds, float(np.abs(q - target).max()))
+    return MajorizationCertificate(t, ds, float(np.abs(_rebuild_target(t, ds, p.p) - target).max()))
 
 
-def _search_witness(p: ClassicalJoint, q: ClassicalJoint, n_random: int, seed) -> HostMatrix | None:
+def _search_witness(p: ClassicalJoint, q: ClassicalJoint, seed) -> HostMatrix | None:
+    """First host under which Q beats P: the m fixed-w hosts, then N_WITNESS_HOSTS random ones."""
     g = rng(seed)
     m = max(p.m, q.m)
-    candidates = [fixed_w_host(w, m) for w in range(1, m + 1)]
-    for _ in range(n_random):
-        t = g.dirichlet(np.ones(m), size=int(g.integers(1, 4))).T
-        candidates.append(HostMatrix(t))
-    for host in candidates:
-        if prob_t(q, host) > prob_t(p, host) + GAME_GAP:
-            return host
-    return None
+    n_hosts = m + N_WITNESS_HOSTS
+    ts = np.zeros((n_hosts, m, 3))              # host tables, zero-padded to 3 answer columns
+    ts[np.arange(m), np.arange(m), 0] = 1.0     # the fixed-w hosts, w = 1..m
+    widths = np.ones(n_hosts, dtype=int)
+    for h in range(m, n_hosts):
+        widths[h] = int(g.integers(1, 4))
+        ts[h, :, : widths[h]] = g.dirichlet(np.ones(m), size=widths[h]).T
+    hits = np.flatnonzero(_game_values(q, ts) > _game_values(p, ts) + GAME_GAP)
+    if hits.size == 0:
+        return None
+    return HostMatrix(ts[hits[0], :, : widths[hits[0]]])
 
 
 def apply_cds_classical(p: ClassicalJoint, es, rs) -> ClassicalJoint:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import HostMatrix, fixed_w_host, random_host
+from .classical import HostMatrix, _saturated_prefixes, fixed_w_host, random_host
 from .linalg import (
     DensityOperator,
     _trace_out,
@@ -83,12 +83,7 @@ def _conditioned_eigs(state: DensityOperator, basis: np.ndarray) -> np.ndarray:
 
 def _conditioned_spectra(state: DensityOperator, basis: np.ndarray, n_w: int):
     """Saturated Ky-Fan prefix table of <b_z| rho |b_z>, shape (..., dB, n_w)."""
-    pref = np.cumsum(_conditioned_eigs(state, basis), axis=-1)
-    da = pref.shape[-1]
-    if n_w <= da:
-        return pref[..., :n_w]
-    pad = np.repeat(pref[..., -1:], n_w - da, axis=-1)
-    return np.concatenate([pref, pad], axis=-1)
+    return _saturated_prefixes(_conditioned_eigs(state, basis), n_w)
 
 
 def reward_given_bob(state: DensityOperator, host: HostMatrix, bob_basis: np.ndarray) -> float:

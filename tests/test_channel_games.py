@@ -47,6 +47,8 @@ def test_game_spec_validation():
     with pytest.raises(ValueError):
         ChannelGameSpec(((0.6, phi), (0.6, phi)))  # weights exceed 1
     with pytest.raises(ValueError):
+        ChannelGameSpec(((float("nan"), phi), (1.0, phi)))
+    with pytest.raises(ValueError):
         ChannelGameSpec(())
     with pytest.raises(ValueError):
         ChannelGameSpec(((0.5, phi), (0.5, maximally_mixed((2,)))))  # mixed dims

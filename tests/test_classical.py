@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from qce.classical import (
+    GAME_GAP,
+    N_WITNESS_HOSTS,
     ClassicalJoint,
     HostMatrix,
+    _lp_system,
+    _search_witness,
     apply_cds_classical,
     cond_majorizes_classical,
     embed_classical,
@@ -31,11 +35,15 @@ def test_joint_validation():
         ClassicalJoint(np.array([[0.9, 0.2], [0.0, 0.0]]))  # sums above 1
     with pytest.raises(ValueError):
         ClassicalJoint(np.array([[1.1, -0.1], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        ClassicalJoint(np.array([[np.nan, 0.5], [0.25, 0.25]]))
 
 
 def test_host_validation():
     with pytest.raises(ValueError):
         HostMatrix(np.array([[0.5, 0.5], [0.2, 0.2]]))  # columns not stochastic
+    with pytest.raises(ValueError):
+        HostMatrix(np.array([[np.nan, 1.0], [0.5, 0.0]]))
     h = HostMatrix(np.array([[0.25, 1.0], [0.75, 0.0]]))
     assert h.n_w == 2 and h.n_zprime == 2
 
@@ -71,6 +79,17 @@ def test_prob_t_monotone_in_w():
         p = random_joint(4, 3, seed=g)
         vals = [fixed_w_value(p, w) for w in range(1, 5)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_fixed_w_value_is_the_fixed_host_game():
+    g = rng(SEED + 7)
+    for m, n in ((1, 3), (2, 2), (3, 4), (5, 2)):
+        p = random_joint(m, n, seed=g)
+        for w in range(1, m + 3):
+            got = fixed_w_value(p, w)
+            assert got == prob_t(p, fixed_w_host(w, w))
+            top_w = np.sort(p.p, axis=0)[::-1][:w].sum()
+            assert abs(got - top_w) < 1e-12, (m, n, w)
 
 
 def test_prob_t_beats_every_fixed_answer():
@@ -123,6 +142,122 @@ def test_uniform_cannot_reach_correlated():
     assert verdict.witness_host is not None
     # the witness host certifies the gap through the game value
     assert prob_t(q, verdict.witness_host) > prob_t(p, verdict.witness_host) + 1e-6
+
+
+def _loop_lp_system(pm, qm):
+    """Row-by-row build of the majorization LP: the reference for ``_lp_system``."""
+    m, n = pm.shape
+    n_prime = qm.shape[1]
+    n_z = n * n_prime * m * m
+
+    def z_index(y, w, r, c):
+        return ((y * n_prime + w) * m + r) * m + c
+
+    def t_index(y, w):
+        return n_z + y * n_prime + w
+
+    rows, cols, vals, b = [], [], [], []
+
+    def add_row(entries, rhs):
+        r = len(b)
+        for c, v in entries:
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+        b.append(rhs)
+
+    for y in range(n):
+        for w in range(n_prime):
+            for r in range(m):
+                add_row([(z_index(y, w, r, c), 1.0) for c in range(m)] + [(t_index(y, w), -1.0)], 0.0)
+            for c in range(m):
+                add_row([(z_index(y, w, r, c), 1.0) for r in range(m)] + [(t_index(y, w), -1.0)], 0.0)
+    for y in range(n):
+        add_row([(t_index(y, w), 1.0) for w in range(n_prime)], 1.0)
+    for w in range(n_prime):
+        for r in range(m):
+            add_row([(z_index(y, w, r, c), float(pm[c, y])) for y in range(n) for c in range(m)], float(qm[r, w]))
+    a = np.zeros((len(b), n_z + n * n_prime))
+    a[rows, cols] = vals
+    return a, np.array(b)
+
+
+def test_lp_system_matches_row_loop():
+    g = rng(SEED + 8)
+    for mp, n, mq, n_prime in ((2, 3, 3, 2), (3, 2, 2, 4), (1, 4, 3, 1), (4, 4, 4, 4), (3, 3, 3, 5)):
+        p, q = random_joint(mp, n, seed=g), random_joint(mq, n_prime, seed=g)
+        m = max(mp, mq)
+        pm, qm = (np.pad(j.p, ((0, m - j.m), (0, 0))) for j in (p, q))
+        a_eq, b_eq = _lp_system(pm, qm)
+        want_a, want_b = _loop_lp_system(pm, qm)
+        assert a_eq.shape == want_a.shape
+        np.testing.assert_array_equal(a_eq.toarray(), want_a)
+        np.testing.assert_array_equal(b_eq, want_b)
+        assert a_eq.nnz == np.count_nonzero(want_a)  # no stored zeros from padded rows
+
+
+def _loop_game_value(p, t):
+    total = 0.0
+    for y in range(p.n):
+        pref = np.cumsum(np.sort(p.p[:, y])[::-1])
+        pref = np.concatenate([pref, np.full(max(t.shape[0] - pref.size, 0), pref[-1])])[: t.shape[0]]
+        total += float((pref @ t).max())
+    return total
+
+
+def _loop_witness(p, q, seed):
+    """Per-host reference for ``_search_witness``: same draws, first host where Q wins."""
+    g = rng(seed)
+    m = max(p.m, q.m)
+    candidates = [fixed_w_host(w, m).t for w in range(1, m + 1)]
+    for _ in range(N_WITNESS_HOSTS):
+        candidates.append(g.dirichlet(np.ones(m), size=int(g.integers(1, 4))).T)
+    for t in candidates:
+        if _loop_game_value(q, t) > _loop_game_value(p, t) + GAME_GAP:
+            return t
+    return None
+
+
+def test_witness_search_matches_per_host_loop():
+    g = rng(SEED + 9)
+    pairs = [(ClassicalJoint(np.full((2, 2), 0.25)), ClassicalJoint(np.diag([0.5, 0.5])))]
+    for _ in range(12):
+        mp, n, mq, n_prime = (int(k) for k in g.integers(1, 5, size=4))
+        pairs.append((random_joint(mp, n, seed=g), random_joint(mq, n_prime, seed=g)))
+    found = 0
+    for k, (p, q) in enumerate(pairs):
+        got = _search_witness(p, q, seed=k)
+        want = _loop_witness(p, q, seed=k)
+        if want is None:
+            assert got is None, k
+        else:
+            found += 1
+            np.testing.assert_array_equal(got.t, want, err_msg=str(k))
+    assert 0 < found < len(pairs)
+
+
+def test_simplex_failure_pair_is_decided():
+    # HiGHS dual simplex stops with status 4 on this 5x4 pair (P then Q, each
+    # default_rng([66, 89]).dirichlet(ones(20)).reshape(5, 4)); the pair is
+    # infeasible, so the interior-point retry must return that verdict.
+    p = ClassicalJoint(np.array([
+        [0.012303146811670681, 0.0002563985625277801, 0.002943246070558267, 0.07898946486682236],
+        [0.024430755343095828, 0.00024143266756449297, 0.06725318908432709, 0.024275271942430975],
+        [0.01437541251271863, 0.0681878311221763, 0.13022536036825139, 0.13248407690367003],
+        [0.015529425197778467, 0.07437641279976316, 0.10716469801809247, 0.022842858002894456],
+        [0.19059329455182855, 8.591720145010558e-07, 0.0128388083461387, 0.020688057655675576],
+    ]))
+    q = ClassicalJoint(np.array([
+        [0.009017023825135717, 0.0682623097927491, 0.07311397672421009, 0.036880136860312725],
+        [0.0468382866803747, 0.00023416232985271488, 0.0968716302696719, 0.05185183615629099],
+        [0.017407850020225785, 0.04985097299284295, 0.04473095017244637, 0.02759866835831068],
+        [0.0606657177792383, 0.0038438606305788146, 0.08033136097720237, 0.01611535137420992],
+        [0.05060077998198356, 0.07229897614824288, 0.13476310564875754, 0.058723043277362975],
+    ]))
+    verdict = cond_majorizes_classical(p, q)
+    assert not verdict.feasible
+    if verdict.witness_host is not None:
+        assert prob_t(q, verdict.witness_host) > prob_t(p, verdict.witness_host) + GAME_GAP
 
 
 def test_feasible_pairs_never_game_falsified():

@@ -230,3 +230,25 @@ def test_bad_input_files_exit_one(tmp_path, capsys):
     wrong = _write_json(tmp_path, "wrong.json", {"rows": 2, "cols": 2, "data": []})
     assert main(["cusc-check", "--channel", wrong]) == 1
     capsys.readouterr()
+
+
+def test_non_finite_inputs_exit_one(tmp_path, capsys):
+    state = _write_json(tmp_path, "phi.json", ser.encode_density(max_entangled(2)))
+    game = ser.encode_state_game(StateGameSpec(HostMatrix([[1.0], [0.0]])))
+    game["t"][0][0] = float("nan")
+    game_path = _write(tmp_path, "game.json", json.dumps(game))
+    assert main(["state-reward", "--state", state, "--game", game_path, "--restarts", "1"]) == 1
+    capsys.readouterr()
+
+    ch = _write_json(tmp_path, "id.json", ser.encode_channel(qc.identity_channel((2,))))
+    ch_game = ser.encode_channel_game(bell_game((0.4, 0.3, 0.2, 0.1)))
+    ch_game["entries"][0]["p"] = float("nan")
+    ch_game_path = _write(tmp_path, "ch_game.json", json.dumps(ch_game))
+    assert main(["channel-reward", "--channel", ch, "--game", ch_game_path, "--restarts", "1"]) == 1
+    capsys.readouterr()
+
+    good = _write(tmp_path, "good.csv", "0.25,0.25\n0.25,0.25\n")
+    bad = _write(tmp_path, "bad.csv", "nan,0.5\n0.25,0.25\n")
+    assert main(["classical-majorize", "--p", bad, "--q", good]) == 1
+    assert main(["classical-majorize", "--p", good, "--q", bad]) == 1
+    capsys.readouterr()

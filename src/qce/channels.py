@@ -3,6 +3,11 @@
 The Choi operator convention is unnormalized: for a channel N with input
 dimension n, ``choi(N) = sum_ij |i><j| (x) N(|i><j|)`` with trace n.  The
 input copy is the slower tensor factor, the output the faster one.
+
+Channels are checked once, where outside numbers enter: :func:`channel`,
+:func:`from_choi`, the named constructors that take raw matrices or weights,
+and the ``qce.serialize`` decoders; :class:`QuantumChannel` records are what
+the library passes around, built with no K+K sum.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .linalg import (
     is_hermitian,
     kron,
     ket,
+    maximally_mixed,
     proj,
     rng,
     weyl_unitaries,
@@ -33,7 +39,7 @@ KRAUS_CUTOFF = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """CPTP map given by Kraus operators, with input/output subsystem dims."""
+    """CPTP map as Kraus operators with in/out dims; building one checks only its form."""
 
     in_dims: tuple
     out_dims: tuple
@@ -50,9 +56,6 @@ class QuantumChannel:
         for k in ks:
             if k.shape != (dout, din):
                 raise ValueError(f"Kraus shape {k.shape} does not match ({dout},{din})")
-        s = sum(dagger(k) @ k for k in ks)
-        if np.abs(s - np.eye(din)).max() > CHOI_PSD_ATOL:
-            raise ValueError("Kraus operators are not trace preserving")
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims", out_dims)
         object.__setattr__(self, "kraus", ks)
@@ -67,7 +70,12 @@ class QuantumChannel:
 
 
 def channel(kraus, in_dims, out_dims) -> QuantumChannel:
-    return QuantumChannel(tuple(in_dims), tuple(out_dims), tuple(kraus))
+    """The checked entry for a Kraus list: sum K+K = I within ``CHOI_PSD_ATOL``."""
+    ch = QuantumChannel(tuple(in_dims), tuple(out_dims), tuple(kraus))
+    s = sum(dagger(k) @ k for k in ch.kraus)
+    if np.abs(s - np.eye(ch.din)).max() > CHOI_PSD_ATOL:
+        raise ValueError("Kraus operators are not trace preserving")
+    return ch
 
 
 def identity_channel(dims) -> QuantumChannel:
@@ -254,8 +262,6 @@ def dephasing(gamma: float, d: int = 2) -> QuantumChannel:
 
 def randomizing(d: int = 2) -> QuantumChannel:
     """Replace the input with the maximally mixed state."""
-    from .linalg import maximally_mixed
-
     return replacement(maximally_mixed((d,)), in_dim=d)
 
 

@@ -134,7 +134,6 @@ class MajorizationVerdict:
     feasible: bool
     certificate: MajorizationCertificate | None
     witness_host: HostMatrix | None
-    gap: float
 
 
 def _lp_system(pm: np.ndarray, qm: np.ndarray):
@@ -190,7 +189,7 @@ def cond_majorizes_classical(
     if res.status == 4:  # dual simplex can fail numerically on nearly feasible pairs; interior point decides them
         res = linprog(**lp, method="highs-ipm")
     if res.status == 2:
-        return MajorizationVerdict(False, None, _search_witness(p, q, seed), 0.0)
+        return MajorizationVerdict(False, None, _search_witness(p, q, seed))
     if res.status != 0:
         raise LpSolverError(f"LP backend failed with status {res.status}: {res.message}")
 
@@ -201,7 +200,7 @@ def cond_majorizes_classical(
     residual = max(residual, float(np.abs(t.sum(axis=1) - 1.0).max()))
     if residual > tol:
         raise LpSolverError(f"LP returned a certificate with residual {residual:.2e} above {tol:.0e}")
-    return MajorizationVerdict(True, MajorizationCertificate(t, ds, residual), None, 0.0)
+    return MajorizationVerdict(True, MajorizationCertificate(t, ds, residual), None)
 
 
 def uniform_target_certificate(p: ClassicalJoint, q_cols: int = 1) -> MajorizationCertificate:

@@ -8,7 +8,10 @@ Conventions used throughout the package:
 * all operators are dense ``numpy`` arrays with ``complex128`` entries;
 * tolerances: ``ATOL`` for structural checks (hermiticity, trace,
   stochasticity), ``RECON_ATOL`` for reconstructions and round trips,
-  ``EIG_CUTOFF`` below which eigenvalues count as zero.
+  ``EIG_CUTOFF`` below which eigenvalues count as zero;
+* states are checked once, where outside numbers enter (:func:`density`,
+  :func:`pure`, the ``qce.serialize`` decoders); :class:`DensityOperator`
+  records are what the library passes around, built with no eigensolve.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def _as_complex(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A validated density operator together with its subsystem dimensions."""
+    """A density operator and its subsystem dims; building one checks only its form."""
 
     dims: tuple
     mat: np.ndarray
@@ -86,12 +89,6 @@ class DensityOperator:
         side = int(np.prod(dims))
         if m.shape != (side, side):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-        if np.abs(m - m.conj().T).max() > ATOL:
-            raise ValueError("density operator is not hermitian")
-        if abs(m.trace().real - 1.0) > ATOL or abs(m.trace().imag) > ATOL:
-            raise ValueError("density operator trace is not 1")
-        if np.linalg.eigvalsh(m).min() < -ATOL:
-            raise ValueError("density operator is not positive semidefinite")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", m)
 
@@ -104,7 +101,16 @@ class DensityOperator:
 
 
 def density(mat, dims) -> DensityOperator:
-    return DensityOperator(tuple(dims), np.asarray(mat, dtype=complex))
+    """The checked entry for a state: hermitian, unit trace and PSD within ``ATOL``."""
+    state = DensityOperator(tuple(dims), mat)
+    m = state.mat
+    if np.abs(m - m.conj().T).max() > ATOL:
+        raise ValueError("density operator is not hermitian")
+    if abs(m.trace().real - 1.0) > ATOL or abs(m.trace().imag) > ATOL:
+        raise ValueError("density operator trace is not 1")
+    if np.linalg.eigvalsh(m).min() < -ATOL:
+        raise ValueError("density operator is not positive semidefinite")
+    return state
 
 
 def pure(vec, dims) -> DensityOperator:
@@ -270,10 +276,10 @@ def _spectral_amplitudes(state: DensityOperator):
 def purify(state: DensityOperator) -> DensityOperator:
     """Canonical spectral purification; the reference system is appended last.
 
-    Builds and validates the full pure state of side n*rank (n the state's
-    side), so its eigen-check costs O((n*rank)^3).  The library computes the
-    dual and the teleport channel from :func:`_spectral_amplitudes` instead;
-    this stays the public reference for them.
+    Builds the full pure state of side n*rank (n the state's side), so its
+    memory grows as (n*rank)^2.  The library computes the dual and the
+    teleport channel from :func:`_spectral_amplitudes` instead; this stays
+    the public reference for them.
     """
     amps, rank = _spectral_amplitudes(state)
     return pure(amps.reshape(-1), state.dims + (rank,))

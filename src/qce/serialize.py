@@ -2,9 +2,10 @@
 
 Complex matrices travel as ``{"rows": r, "cols": c, "data": [[re, im], ...]}``
 in row-major order; density operators add ``"dims"``; channels carry either a
-Kraus list or a Choi matrix next to their in/out dims.  Floats emitted by the
-CLI are rounded to 12 significant digits so identical runs serialize byte for
-byte.
+Kraus list or a Choi matrix next to their in/out dims.  Decoded states pass
+``linalg.density`` and decoded channels ``channels.channel`` or ``from_choi``.
+Floats emitted by the CLI are rounded to 12 significant digits so identical
+runs serialize byte for byte.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from . import channels as qc
 from .channel_games import ChannelGameSpec
 from .classical import ClassicalJoint, HostMatrix
 from .cusc import CuscVerdict
-from .linalg import DensityOperator
+from .linalg import DensityOperator, density
 from .mc_sim import SimResult
 from .state_games import StateGameSpec
 
 
 def encode_matrix(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    data = np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
@@ -46,7 +47,7 @@ def encode_density(state: DensityOperator) -> dict:
 
 
 def decode_density(obj: dict) -> DensityOperator:
-    return DensityOperator(tuple(int(d) for d in obj["dims"]), decode_matrix(obj))
+    return density(decode_matrix(obj), tuple(int(d) for d in obj["dims"]))
 
 
 def encode_channel(ch: qc.QuantumChannel, as_choi: bool = False) -> dict:
@@ -62,7 +63,7 @@ def decode_channel(obj: dict) -> qc.QuantumChannel:
     in_dims = tuple(int(d) for d in obj["in_dims"])
     out_dims = tuple(int(d) for d in obj["out_dims"])
     if "kraus" in obj:
-        return qc.QuantumChannel(in_dims, out_dims, tuple(decode_matrix(k) for k in obj["kraus"]))
+        return qc.channel([decode_matrix(k) for k in obj["kraus"]], in_dims, out_dims)
     if "choi" in obj:
         return qc.from_choi(decode_matrix(obj["choi"]), in_dims, out_dims)
     raise ValueError("channel JSON needs either 'kraus' or 'choi'")

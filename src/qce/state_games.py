@@ -19,6 +19,7 @@ import numpy as np
 
 from .classical import HostMatrix, _saturated_prefixes, fixed_w_host, random_host
 from .linalg import (
+    RECON_ATOL,
     DensityOperator,
     _trace_out,
     eigh_desc,
@@ -81,11 +82,6 @@ def _conditioned_eigs(state: DensityOperator, basis: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(ops)[..., ::-1], 0.0, None)
 
 
-def _conditioned_spectra(state: DensityOperator, basis: np.ndarray, n_w: int):
-    """Saturated Ky-Fan prefix table of <b_z| rho |b_z>, shape (..., dB, n_w)."""
-    return _saturated_prefixes(_conditioned_eigs(state, basis), n_w)
-
-
 def reward_given_bob(state: DensityOperator, host: HostMatrix, bob_basis: np.ndarray) -> float:
     value, _ = _reward_and_answer(state, host, bob_basis)
     return float(value)
@@ -93,7 +89,7 @@ def reward_given_bob(state: DensityOperator, host: HostMatrix, bob_basis: np.nda
 
 def _reward_and_answer(state: DensityOperator, host: HostMatrix, bob_basis: np.ndarray):
     """Bob's value and his best answer z' per outcome z, for one basis or a stack of them."""
-    scores = _conditioned_spectra(state, bob_basis, host.n_w) @ host.t  # (..., z, z')
+    scores = _saturated_prefixes(_conditioned_eigs(state, bob_basis), host.n_w) @ host.t  # (..., z, z')
     return scores.max(axis=-1).sum(axis=-1), scores.argmax(axis=-1)
 
 
@@ -147,8 +143,13 @@ def set_partitions(n: int):
 
 
 def scramble(state: DensityOperator, basis: np.ndarray, partition) -> DensityOperator:
-    """Project Alice's share onto the partition blocks of the given basis."""
+    """Project Alice's share onto the partition blocks of a unitary basis of A."""
     da, db = bipartite_dims(state)
+    basis = np.asarray(basis)
+    if basis.shape != (da, da) or np.abs(basis @ basis.conj().T - np.eye(da)).max() > RECON_ATOL:
+        raise ValueError("scramble basis is not a unitary on Alice's system")
+    if sorted(i for block in partition for i in block) != list(range(da)):
+        raise ValueError("partition must use each basis column exactly once")
     out = np.zeros_like(state.mat)
     eye_b = np.eye(db, dtype=complex)
     for block in partition:

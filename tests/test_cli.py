@@ -252,3 +252,29 @@ def test_non_finite_inputs_exit_one(tmp_path, capsys):
     assert main(["classical-majorize", "--p", bad, "--q", good]) == 1
     assert main(["classical-majorize", "--p", good, "--q", bad]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mat, msg", [
+    (np.array([[1.0, 0.5], [0.0, 0.0]]), "not hermitian"),
+    (np.diag([0.7, 0.7]), "trace is not 1"),
+    (np.diag([1.5, -0.5]), "not positive semidefinite"),
+])
+def test_entropy_rejects_a_non_state_with_exit_one(tmp_path, capsys, mat, msg):
+    obj = ser.encode_matrix(mat)
+    obj["dims"] = [2]
+    path = _write_json(tmp_path, "bad.json", obj)
+    assert main(["entropy", "--state", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and msg in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cusc_check_rejects_non_tp_kraus_with_exit_one(tmp_path, capsys):
+    obj = {"in_dims": [2, 2], "out_dims": [2, 2], "kraus": [ser.encode_matrix(2.0 * np.eye(4))]}
+    path = _write_json(tmp_path, "bad.json", obj)
+    assert main(["cusc-check", "--channel", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "not trace preserving" in captured.err
+    assert "Traceback" not in captured.err

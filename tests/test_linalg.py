@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qce import channels as qc
 from qce.linalg import (
     DensityOperator,
     dagger,
@@ -49,6 +50,28 @@ def test_density_validation():
         density(np.diag([1.5, -0.5]), (2,))  # not PSD
     with pytest.raises(ValueError):
         density(np.eye(4) / 4, (2, 3))  # dims mismatch
+
+
+def test_records_check_form_and_entry_points_check_physics():
+    # a record takes any well-shaped finite matrix; density/channel check the physics
+    for mat in (np.array([[1.0, 0.5], [0.0, 0.0]]), np.diag([0.7, 0.7]), np.diag([1.5, -0.5])):
+        rec = DensityOperator((2,), mat)
+        assert rec.dims == (2,) and rec.mat.dtype == complex
+        with pytest.raises(ValueError):
+            density(mat, (2,))
+    ks = (2.0 * np.eye(2),)
+    assert len(qc.QuantumChannel((2,), (2,), ks).kraus) == 1
+    with pytest.raises(ValueError, match="not trace preserving"):
+        qc.channel(ks, (2,), (2,))
+    # the form checks stay on the records
+    with pytest.raises(ValueError, match="does not match dims"):
+        DensityOperator((2, 3), np.eye(4) / 4)
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityOperator((2,), np.diag([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="at least one Kraus"):
+        qc.QuantumChannel((2,), (2,), ())
+    with pytest.raises(ValueError, match="Kraus shape"):
+        qc.QuantumChannel((2,), (2,), (np.eye(3),))
 
 
 def test_trace_one_and_psd_accepted():

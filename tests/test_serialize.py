@@ -113,3 +113,31 @@ def test_emitted_density_survives_dumps_roundtrip():
     text = ser.dumps(ser.encode_density(s))
     back = ser.decode_density(json.loads(text))
     np.testing.assert_allclose(back.mat, s.mat, atol=1e-11)
+
+
+NON_STATES = [
+    (np.array([[1.0, 0.5], [0.0, 0.0]]), "not hermitian"),
+    (np.diag([0.7, 0.7]), "trace is not 1"),
+    (np.diag([1.5, -0.5]), "not positive semidefinite"),
+]
+
+
+@pytest.mark.parametrize("mat, msg", NON_STATES)
+def test_decode_density_rejects_non_states(mat, msg):
+    obj = ser.encode_matrix(mat)
+    obj["dims"] = [2]
+    with pytest.raises(ValueError, match=msg):
+        ser.decode_density(obj)
+
+
+def test_decode_channel_rejects_non_tp_kraus():
+    obj = {"in_dims": [2], "out_dims": [2], "kraus": [ser.encode_matrix(2.0 * np.eye(2))]}
+    with pytest.raises(ValueError, match="not trace preserving"):
+        ser.decode_channel(obj)
+
+
+def test_encode_matrix_pairs_match_per_entry_floats():
+    m = random_density((2, 3), seed=SEED).mat
+    want = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    assert ser.encode_matrix(m)["data"] == want
+    assert ser.encode_matrix(m.T)["data"] == [[float(z.real), float(z.imag)] for z in m.T.reshape(-1)]

@@ -152,6 +152,16 @@ def test_scramble_keeps_state_valid():
         assert np.linalg.eigvalsh(out.mat).min() > -1e-10
 
 
+def test_scramble_rejects_a_bad_basis_or_partition():
+    phi = max_entangled(2)
+    for basis in (2.0 * np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(3)):
+        with pytest.raises(ValueError, match="not a unitary"):
+            scramble(phi, basis, ((0,), (1,)))
+    for partition in (((0,),), ((0, 1), (1,)), ((0,), (1,), (2,))):
+        with pytest.raises(ValueError, match="exactly once"):
+            scramble(phi, np.eye(2, dtype=complex), partition)
+
+
 def test_set_partitions_bell_numbers():
     for n, bell in ((1, 1), (2, 2), (3, 5), (4, 15)):
         parts = set_partitions(n)

@@ -21,13 +21,13 @@ import numpy as np
 from . import channels as qc
 from .cusc import unitary_sending_zero_to
 from .linalg import (
-    ATOL,
     DensityOperator,
     _trace_out,
     eigh_desc,
     fourier_matrix,
     ket,
     max_entangled,
+    probability_vector,
     pure,
     random_density,
     rng,
@@ -47,9 +47,7 @@ class ChannelGameSpec:
         entries = tuple((float(p), s) for p, s in self.entries)
         if not entries:
             raise ValueError("game needs at least one entry")
-        ps = np.array([p for p, _ in entries])
-        if not np.all(np.isfinite(ps)) or ps.min() < -ATOL or abs(ps.sum() - 1.0) > ATOL:
-            raise ValueError("weights must form a probability vector")
+        probability_vector([p for p, _ in entries])
         dims = entries[0][1].dims
         for _, s in entries:
             if s.dims != dims:
@@ -66,7 +64,6 @@ class ChannelRewardReport:
     value: float
     preprocessing: qc.QuantumChannel | None = None
     restarts_used: int = 0
-    certified: bool = True
 
 
 @dataclass(frozen=True)
@@ -237,9 +234,7 @@ AMP_DAMP_TABLE_NOTE = (
 
 def analytic_reward(kind: str, game_kind: str, p, gamma: float | None = None, sigma: DensityOperator | None = None) -> float:
     """Closed-form optimum for the named qubit channels on the two reference games."""
-    p = np.asarray(p, dtype=float)
-    if p.min() < -ATOL or abs(p.sum() - 1.0) > ATOL:
-        raise ValueError("p must be a probability vector")
+    p = probability_vector(p, "p")
     if game_kind not in ("bell", "zero"):
         raise ValueError("game_kind must be 'bell' or 'zero'")
     p1 = p[0]
@@ -272,9 +267,7 @@ def analytic_reward(kind: str, game_kind: str, p, gamma: float | None = None, si
 
 def degrade(n: qc.QuantumChannel, parts) -> qc.QuantumChannel:
     """Random pre/post processing sum_z p_z V_z o N o E_z (V_z isometry channels)."""
-    ps = np.array([p for p, _, _ in parts], dtype=float)
-    if ps.min() < -ATOL or abs(ps.sum() - 1.0) > ATOL:
-        raise ValueError("part weights must form a probability vector")
+    probability_vector([p for p, _, _ in parts], "part weights")
     in_dims = parts[0][2].in_dims
     out_dims = parts[0][1].out_dims
     ks = []

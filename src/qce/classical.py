@@ -10,6 +10,17 @@ both joints zero-padded to m rows.  Its nonnegative variables are Z[y, w, r, c]
 then t[y, w], each row-major; its equality rows are, in order: per block (y, w),
 the m row sums and then the m column sums of Z[y, w], each equal to t[y, w];
 per y, sum_w t[y, w] = 1; per (w, r), sum_(y, c) Z[y, w, r, c] p[c, y] = q[r, w].
+
+An infeasible pair is separated by the game that Q wins by the most.  Q may
+take its best answer for each of its own Bob symbols as its own host column,
+so the largest gap over all hosts is the optimum of one more LP, the dual of
+the first.  With pref_y the prefix sums of the descending column y of a
+joint, its nonnegative variables are the host t[w, z'] (m x n') then s[y],
+row-major; it maximises sum_z' prefQ_z' . t[:, z'] - sum_y s[y], and its
+inequality rows are, in order: per (y, z'), prefP_y . t[:, z'] - s[y] <= 0;
+per z', sum_w t[w, z'] <= 1.  Its optimum is half the least L1 distance from
+Q to the targets reachable from P.  It separates every infeasible pair only
+because a host column may sum to less than 1.
 """
 
 from __future__ import annotations
@@ -24,7 +35,6 @@ from .linalg import ATOL, DensityOperator, random_doubly_stochastic, rng
 
 LP_ATOL = 1e-7
 GAME_GAP = 1e-6
-N_WITNESS_HOSTS = 500
 
 
 class LpSolverError(RuntimeError):
@@ -58,7 +68,11 @@ class ClassicalJoint:
 
 @dataclass(frozen=True, eq=False)
 class HostMatrix:
-    """Column-stochastic w-draw table: t[w, z'] = prob of prize index w+1 given answer z'."""
+    """Host w-draw table: t[w, z'] = prob of prize index w+1 given answer z'.
+
+    A column may sum to less than 1; its deficit 1 - sum_w t[w, z'] is the
+    chance that the host pays no prize (w = 0) and the round is lost.
+    """
 
     t: np.ndarray
 
@@ -70,8 +84,8 @@ class HostMatrix:
             raise ValueError("host matrix has non-finite entries")
         if t.min() < -1e-12:
             raise ValueError("host matrix has negative entries")
-        if np.abs(t.sum(axis=0) - 1.0).max() > ATOL:
-            raise ValueError("host matrix columns must sum to 1")
+        if t.sum(axis=0).max() > 1.0 + ATOL:
+            raise ValueError("host matrix columns must sum to at most 1")
         object.__setattr__(self, "t", np.clip(t, 0.0, None))
 
     @property
@@ -168,6 +182,32 @@ def _lp_system(pm: np.ndarray, qm: np.ndarray):
     return a_eq, b_eq
 
 
+def _witness_lp(pm: np.ndarray, qm: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest game gap of Q over P and its host t (m x n'), from the LP of the module docstring."""
+    m, n = pm.shape
+    n_prime = qm.shape[1]
+    pref_p, pref_q = (np.cumsum(np.sort(j.T, axis=1)[:, ::-1], axis=1) for j in (pm, qm))
+    n_t = m * n_prime
+    t_var = np.arange(n_t).reshape(m, n_prime)               # variable index of t[w, z']
+    epi_row = np.arange(n * n_prime).reshape(n, n_prime)      # row of (y, z')
+    shape = (n, m, n_prime)
+    rows = np.concatenate([
+        np.broadcast_to(epi_row[:, None, :], shape).ravel(),  # prefP_y . t[:, z']
+        epi_row.ravel(),                                      # - s[y]
+        n * n_prime + t_var.ravel() % n_prime,                # column sums of t
+    ])
+    cols = np.concatenate([np.broadcast_to(t_var, shape).ravel(), n_t + epi_row.ravel() // n_prime, t_var.ravel()])
+    vals = np.concatenate([np.broadcast_to(pref_p[:, :, None], shape).ravel(), -np.ones(n * n_prime), np.ones(n_t)])
+    a_ub = coo_array((vals, (rows, cols)), shape=(n * n_prime + n_prime, n_t + n))
+    b_ub = np.concatenate([np.zeros(n * n_prime), np.ones(n_prime)])
+    c = np.concatenate([-pref_q.T.ravel(), np.ones(n)])
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
+    if res.status != 0:
+        raise LpSolverError(f"witness LP failed with status {res.status}: {res.message}")
+    t = np.clip(res.x[:n_t].reshape(m, n_prime), 0.0, None)
+    return -float(res.fun), t / np.maximum(t.sum(axis=0), 1.0)
+
+
 def _rebuild_target(t: np.ndarray, ds: np.ndarray, pm: np.ndarray) -> np.ndarray:
     """sum_y t_yw D_(y,w) p_y for every w, shape (m, n_prime)."""
     moved = (ds @ pm.T[:, None, :, None])[..., 0]   # D_(y,w) p_y, shape (n, n_prime, m)
@@ -180,7 +220,15 @@ def cond_majorizes_classical(
     tol: float = LP_ATOL,
     seed: int = 0,
 ) -> MajorizationVerdict:
-    """Decide whether Q is reachable from P by a host-correlated redistribution."""
+    """Decide whether Q is reachable from P by a host-correlated redistribution.
+
+    A feasible verdict carries the LP's certificate.  An infeasible one
+    carries the host of the game that Q wins by the most, found by the
+    witness LP of the module docstring; its columns may sum to less than 1.
+    The host is ``None`` only when that game's gap is at most ``GAME_GAP``.
+    ``seed`` is accepted for existing callers and unused: the decision and
+    the witness draw no random numbers.
+    """
     m, n, n_prime = max(p.m, q.m), p.n, q.n
     pm, qm = (np.pad(j.p, ((0, m - j.m), (0, 0))) for j in (p, q))
     a_eq, b_eq = _lp_system(pm, qm)
@@ -189,7 +237,9 @@ def cond_majorizes_classical(
     if res.status == 4:  # dual simplex can fail numerically on nearly feasible pairs; interior point decides them
         res = linprog(**lp, method="highs-ipm")
     if res.status == 2:
-        return MajorizationVerdict(False, None, _search_witness(p, q, seed))
+        _, t = _witness_lp(pm, qm)
+        separates = _game_values(q, t) > _game_values(p, t) + GAME_GAP   # scored by the one evaluator
+        return MajorizationVerdict(False, None, HostMatrix(t) if separates else None)
     if res.status != 0:
         raise LpSolverError(f"LP backend failed with status {res.status}: {res.message}")
 
@@ -210,23 +260,6 @@ def uniform_target_certificate(p: ClassicalJoint, q_cols: int = 1) -> Majorizati
     ds = np.full((n, q_cols, m, m), 1.0 / m)
     target = np.full((m, q_cols), 1.0 / (m * q_cols))
     return MajorizationCertificate(t, ds, float(np.abs(_rebuild_target(t, ds, p.p) - target).max()))
-
-
-def _search_witness(p: ClassicalJoint, q: ClassicalJoint, seed) -> HostMatrix | None:
-    """First host under which Q beats P: the m fixed-w hosts, then N_WITNESS_HOSTS random ones."""
-    g = rng(seed)
-    m = max(p.m, q.m)
-    n_hosts = m + N_WITNESS_HOSTS
-    ts = np.zeros((n_hosts, m, 3))              # host tables, zero-padded to 3 answer columns
-    ts[np.arange(m), np.arange(m), 0] = 1.0     # the fixed-w hosts, w = 1..m
-    widths = np.ones(n_hosts, dtype=int)
-    for h in range(m, n_hosts):
-        widths[h] = int(g.integers(1, 4))
-        ts[h, :, : widths[h]] = g.dirichlet(np.ones(m), size=widths[h]).T
-    hits = np.flatnonzero(_game_values(q, ts) > _game_values(p, ts) + GAME_GAP)
-    if hits.size == 0:
-        return None
-    return HostMatrix(ts[hits[0], :, : widths[hits[0]]])
 
 
 def apply_cds_classical(p: ClassicalJoint, es, rs) -> ClassicalJoint:

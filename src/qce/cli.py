@@ -179,7 +179,7 @@ def cmd_classical_majorize(args) -> None:
         p = ser.joint_from_csv(fh.read())
     with open(args.q) as fh:
         q = ser.joint_from_csv(fh.read())
-    verdict = cond_majorizes_classical(p, q, tol=args.tol, seed=args.seed)
+    verdict = cond_majorizes_classical(p, q, tol=args.tol)
     out = {"feasible": verdict.feasible}
     if verdict.certificate is not None:
         out["residual"] = verdict.certificate.residual
@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True, help="CSV file, rows are Alice symbols")
     p.add_argument("--q", required=True)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classical_majorize)
 
     p = sub.add_parser("simulate", help="Monte Carlo spot check of a game value")

@@ -36,6 +36,7 @@ from .linalg import (
     ket,
     kron,
     max_entangled_vec,
+    probability_vector,
     proj,
     random_density,
     random_doubly_stochastic,
@@ -302,9 +303,7 @@ def unitary_sending_zero_to(psi: np.ndarray) -> np.ndarray:
 
 def separable_prep_channel(parts) -> qc.QuantumChannel:
     """Mixture of local unitaries sending |00> to sum_j p_j psi_j (x) phi_j."""
-    ps = np.array([p for p, _, _ in parts], dtype=float)
-    if ps.min() < -ATOL or abs(ps.sum() - 1.0) > ATOL:
-        raise ValueError("weights must form a probability vector")
+    probability_vector([p for p, _, _ in parts])
     first = parts[0]
     da = np.asarray(first[1]).size
     db = np.asarray(first[2]).size

@@ -244,6 +244,14 @@ def prefix_sums(desc_vals: np.ndarray) -> np.ndarray:
     return np.cumsum(desc_vals)
 
 
+def probability_vector(p, what: str = "weights") -> np.ndarray:
+    """``p`` as a float vector, after checking it is finite, nonnegative and sums to 1 within ``ATOL``."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p)) or p.min() < -ATOL or abs(p.sum() - 1.0) > ATOL:
+        raise ValueError(f"{what} must form a probability vector")
+    return p
+
+
 def majorizes(v, u, tol: float = ATOL) -> bool:
     """True when ``v`` majorizes ``u`` (shorter vector zero-padded)."""
     v = np.asarray(v, dtype=float)

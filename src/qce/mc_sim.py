@@ -4,7 +4,8 @@ Rounds are sampled from the exact outcome distributions (Born rule on the
 conditioned operators), so the empirical win rate of a fixed strategy
 estimates the analytic reward.  Sampling order is fixed and every result is
 bitwise reproducible from its seed.  Wins use the inclusive rule: Alice's
-outcome rank y pays out when y <= w.
+outcome rank y pays out when y <= w; a host column summing to less than 1
+pays no prize with the remaining probability, and that round is lost.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import channels as qc
 from .channel_games import ChannelGameSpec
-from .linalg import DensityOperator, rng
+from .linalg import ATOL, DensityOperator, rng
 from .state_games import Adversary, StateGameSpec, StateStrategy, _conditioned_eigs, bipartite_dims, scramble
 
 
@@ -40,6 +41,14 @@ def _sample_categorical(g: np.random.Generator, probs: np.ndarray, size: int) ->
     return np.searchsorted(c, g.random(size), side="right")
 
 
+def _sample_prize(g: np.random.Generator, col: np.ndarray, size: int) -> np.ndarray:
+    """0-based prize index per round from one host column, or -1 for its no-prize deficit."""
+    if abs(col.sum() - 1.0) <= ATOL:
+        return _sample_categorical(g, col, size)
+    w = np.searchsorted(np.cumsum(col), g.random(size), side="right")
+    return np.where(w < col.size, w, -1)
+
+
 def _joint_outcome_table(state: DensityOperator, basis: np.ndarray) -> np.ndarray:
     """P(z, y): Bob outcome z and Alice rank y (eigenvalues of the conditioned ops)."""
     lam = _conditioned_eigs(state, basis)
@@ -58,7 +67,7 @@ def _play_rounds(g, table: np.ndarray, answer: np.ndarray, t: np.ndarray, n: int
     w = np.empty(n, dtype=int)
     for col in np.unique(zp):
         mask = zp == col
-        w[mask] = _sample_categorical(g, t[:, col], int(mask.sum()))
+        w[mask] = _sample_prize(g, t[:, col], int(mask.sum()))
     return int((y <= w).sum())
 
 

@@ -60,7 +60,6 @@ class RewardReport:
     strategy: StateStrategy | None = None
     adversary: Adversary | None = None
     restarts_used: int = 0
-    certified: bool = True         # value is a feasible-strategy bound, not a proven optimum
 
 
 def bipartite_dims(state: DensityOperator):

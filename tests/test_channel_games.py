@@ -149,6 +149,8 @@ def test_analytic_reward_formulas():
         analytic_reward("unitary", "middle", px)
     with pytest.raises(ValueError):
         analytic_reward("hadamard_noise", "bell", px)
+    with pytest.raises(ValueError):
+        analytic_reward("unitary", "bell", (float("nan"), 0.5, 0.3, 0.2))
 
 
 def test_amp_damp_note_flags_the_discrepancy():
@@ -204,6 +206,9 @@ def test_degrade_validation():
         degrade(n, [(0.7, qc.identity_channel((2,)), qc.identity_channel((2,)))])  # weights
     with pytest.raises(ValueError):
         degrade(n, [(1.0, qc.depolarizing(0.5), qc.identity_channel((2,)))])  # post not isometry
+    with pytest.raises(ValueError):
+        degrade(n, [(float("nan"), qc.identity_channel((2,)), qc.identity_channel((2,))),
+                    (1.0, qc.identity_channel((2,)), qc.identity_channel((2,)))])
 
 
 def test_full_scramble_degradation_hits_replacement_row():

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from qce.classical import (
     GAME_GAP,
-    N_WITNESS_HOSTS,
     ClassicalJoint,
     HostMatrix,
     _lp_system,
-    _search_witness,
+    _witness_lp,
     apply_cds_classical,
     cond_majorizes_classical,
     embed_classical,
@@ -23,7 +25,7 @@ from qce.classical import (
     uniform_target_certificate,
 )
 from qce.entropy import vn_cond_entropy
-from qce.linalg import rng
+from qce.linalg import ATOL, random_doubly_stochastic, rng
 
 SEED = 20240821
 
@@ -41,11 +43,26 @@ def test_joint_validation():
 
 def test_host_validation():
     with pytest.raises(ValueError):
-        HostMatrix(np.array([[0.5, 0.5], [0.2, 0.2]]))  # columns not stochastic
+        HostMatrix(np.array([0.5, 0.5]))  # not a matrix
+    with pytest.raises(ValueError):
+        HostMatrix(np.array([[0.5, 1.0], [0.5 + 2 * ATOL, 0.0]]))  # a column sums above 1
+    with pytest.raises(ValueError):
+        HostMatrix(np.array([[-0.1, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError):
         HostMatrix(np.array([[np.nan, 1.0], [0.5, 0.0]]))
     h = HostMatrix(np.array([[0.25, 1.0], [0.75, 0.0]]))
     assert h.n_w == 2 and h.n_zprime == 2
+    # a column summing below 1 pays no prize with the remaining probability
+    short = HostMatrix(np.array([[0.5, 0.5], [0.2, 0.2]]))
+    np.testing.assert_array_equal(short.t.sum(axis=0), [0.7, 0.7])
+
+
+def test_no_prize_deficit_scales_the_game_value():
+    g = rng(SEED + 10)
+    for _ in range(5):
+        p = random_joint(3, 2, seed=g)
+        host = random_host(3, 2, seed=g)
+        assert abs(prob_t(p, HostMatrix(0.4 * host.t)) - 0.4 * prob_t(p, host)) < 1e-12
 
 
 def test_prob_t_frozen_example():
@@ -205,37 +222,6 @@ def _loop_game_value(p, t):
     return total
 
 
-def _loop_witness(p, q, seed):
-    """Per-host reference for ``_search_witness``: same draws, first host where Q wins."""
-    g = rng(seed)
-    m = max(p.m, q.m)
-    candidates = [fixed_w_host(w, m).t for w in range(1, m + 1)]
-    for _ in range(N_WITNESS_HOSTS):
-        candidates.append(g.dirichlet(np.ones(m), size=int(g.integers(1, 4))).T)
-    for t in candidates:
-        if _loop_game_value(q, t) > _loop_game_value(p, t) + GAME_GAP:
-            return t
-    return None
-
-
-def test_witness_search_matches_per_host_loop():
-    g = rng(SEED + 9)
-    pairs = [(ClassicalJoint(np.full((2, 2), 0.25)), ClassicalJoint(np.diag([0.5, 0.5])))]
-    for _ in range(12):
-        mp, n, mq, n_prime = (int(k) for k in g.integers(1, 5, size=4))
-        pairs.append((random_joint(mp, n, seed=g), random_joint(mq, n_prime, seed=g)))
-    found = 0
-    for k, (p, q) in enumerate(pairs):
-        got = _search_witness(p, q, seed=k)
-        want = _loop_witness(p, q, seed=k)
-        if want is None:
-            assert got is None, k
-        else:
-            found += 1
-            np.testing.assert_array_equal(got.t, want, err_msg=str(k))
-    assert 0 < found < len(pairs)
-
-
 def test_simplex_failure_pair_is_decided():
     # HiGHS dual simplex stops with status 4 on this 5x4 pair (P then Q, each
     # default_rng([66, 89]).dirichlet(ones(20)).reshape(5, 4)); the pair is
@@ -256,8 +242,8 @@ def test_simplex_failure_pair_is_decided():
     ]))
     verdict = cond_majorizes_classical(p, q)
     assert not verdict.feasible
-    if verdict.witness_host is not None:
-        assert prob_t(q, verdict.witness_host) > prob_t(p, verdict.witness_host) + GAME_GAP
+    assert verdict.witness_host is not None
+    assert prob_t(q, verdict.witness_host) > prob_t(p, verdict.witness_host) + GAME_GAP
 
 
 def test_feasible_pairs_never_game_falsified():
@@ -269,6 +255,65 @@ def test_feasible_pairs_never_game_falsified():
         for k in range(30):
             host = random_host(3, int(g.integers(1, 4)), seed=g)
             assert prob_t(q, host) <= prob_t(p, host) + 1e-6, f"trial {trial} host {k}"
+
+
+PROPS = settings(max_examples=25, deadline=None)
+shapes = st.integers(1, 4)
+seeds = st.integers(0, 2**31 - 1)
+
+
+def _pair(mp, n, mq, n_prime, seed, made):
+    """A random pair, or (made) a target steered from P by doubly stochastic E_j and a split R_j."""
+    g = rng(seed)
+    p = random_joint(mp, n, seed=g)
+    if not made:
+        return p, random_joint(mq, n_prime, seed=g)
+    split = g.dirichlet(np.ones(2))
+    es = [random_doubly_stochastic(mp, g) for _ in split]
+    rs = [w * g.dirichlet(np.ones(n_prime), size=n) for w in split]
+    return p, apply_cds_classical(p, es, rs)
+
+
+def _padded(p, q):
+    m = max(p.m, q.m)
+    return tuple(np.pad(j.p, ((0, m - j.m), (0, 0))) for j in (p, q))
+
+
+def _least_l1_infeasibility(pm, qm):
+    """min ||q - reached target||_1 over the majorization LP, with slack on its target rows only."""
+    a_eq, b_eq = _lp_system(pm, qm)
+    n_target = qm.size
+    slack = np.zeros((a_eq.shape[0], n_target))
+    slack[-n_target:] = np.eye(n_target)
+    c = np.concatenate([np.zeros(a_eq.shape[1]), np.ones(2 * n_target)])
+    res = linprog(c, A_eq=np.hstack([a_eq.toarray(), slack, -slack]), b_eq=b_eq, bounds=(0.0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@PROPS
+@given(mp=shapes, n=shapes, mq=shapes, n_prime=shapes, seed=seeds, made=st.booleans())
+def test_feasible_exactly_when_no_game_prefers_q(mp, n, mq, n_prime, seed, made):
+    p, q = _pair(mp, n, mq, n_prime, seed, made)
+    verdict = cond_majorizes_classical(p, q)
+    gap, _ = _witness_lp(*_padded(p, q))
+    assert verdict.feasible == (gap <= GAME_GAP)
+    assert verdict.feasible or not made
+    if verdict.feasible:
+        assert verdict.witness_host is None
+    else:
+        t = verdict.witness_host.t
+        assert t.sum(axis=0).max() <= 1.0 + ATOL
+        assert _loop_game_value(q, t) > _loop_game_value(p, t) + GAME_GAP
+
+
+@PROPS
+@given(mp=shapes, n=shapes, mq=shapes, n_prime=shapes, seed=seeds, made=st.booleans())
+def test_largest_game_gap_is_half_the_least_l1_infeasibility(mp, n, mq, n_prime, seed, made):
+    p, q = _pair(mp, n, mq, n_prime, seed, made)
+    pm, qm = _padded(p, q)
+    gap, _ = _witness_lp(pm, qm)
+    assert abs(gap - 0.5 * _least_l1_infeasibility(pm, qm)) < 1e-9
 
 
 def test_apply_cds_identity():

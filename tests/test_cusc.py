@@ -227,6 +227,13 @@ def test_separable_prep_correlated_mixture():
     np.testing.assert_allclose(out.mat, want, atol=1e-12)
 
 
+def test_separable_prep_rejects_bad_weights():
+    with pytest.raises(ValueError, match="probability vector"):
+        separable_prep_channel([(0.7, ket(0, 2), ket(0, 2))])
+    with pytest.raises(ValueError, match="probability vector"):
+        separable_prep_channel([(float("nan"), ket(0, 2), ket(0, 2)), (1.0, ket(1, 2), ket(1, 2))])
+
+
 def test_separable_prep_matches_mixture():
     g = rng(SEED + 5)
     for _ in range(5):

@@ -25,6 +25,7 @@ from qce.linalg import (
     permutation_matrix,
     permute_systems,
     prefix_sums,
+    probability_vector,
     proj,
     pure,
     purify,
@@ -186,6 +187,13 @@ def test_majorizes_requires_equal_mass():
         majorizes([0.6, 0.3], [0.5, 0.5])
     with pytest.raises(ValueError):
         majorizes([0.6, -0.1, 0.5], [0.5, 0.5])
+
+
+def test_probability_vector_rejects_nan_and_bad_mass():
+    np.testing.assert_array_equal(probability_vector([0.25, 0.75]), [0.25, 0.75])
+    for bad in ([float("nan"), 1.0], [0.6, 0.6], [1.1, -0.1], [], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="probability vector"):
+            probability_vector(bad)
 
 
 def test_majorizes_uniform_is_bottom():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qce import channels as qc
-from qce.classical import fixed_w_host, prob_t, random_host, random_joint, embed_classical
+from qce.classical import HostMatrix, fixed_w_host, prob_t, random_host, random_joint, embed_classical
 from qce.channel_games import bell_game, channel_reward_fixed, zero_game
 from qce.linalg import fourier_matrix, ket, max_entangled, maximally_mixed, pure, rng
 from qce.mc_sim import simulate_channel_game, simulate_state_game
 from qce.optim import OptOpts
-from qce.state_games import Adversary, StateGameSpec, StateStrategy, reward_noadv
+from qce.state_games import Adversary, StateGameSpec, StateStrategy, reward_given_bob, reward_noadv
 
 SEED = 20240824
 ROUNDS = 20000
@@ -52,6 +52,17 @@ def test_classical_embedding_tracks_prob_t():
         res = simulate_state_game(state, StateGameSpec(host), strat, rounds=ROUNDS, seed=trial)
         assert _sigma_band(res, reward_noadv(state, host, OptOpts(restarts=0, sweeps=0)).value), f"trial {trial}"
         assert res.win_rate >= prob_t(p, host) - 4 * res.std_err - 1e-6
+
+
+def test_no_prize_deficit_loses_the_round():
+    # the host pays w = 1 half the time and no prize otherwise
+    host = HostMatrix(np.array([[0.5], [0.0]]))
+    state = embed_classical(random_joint(2, 2, seed=SEED + 9))
+    basis = np.eye(2, dtype=complex)
+    res = simulate_state_game(state, StateGameSpec(host), StateStrategy(basis, np.zeros(2, dtype=int)),
+                              rounds=ROUNDS, seed=SEED)
+    assert _sigma_band(res, reward_given_bob(state, host, basis))
+    assert res.win_rate < 0.5 + 4 * res.std_err
 
 
 def test_uniform_pair_is_a_coin_flip():

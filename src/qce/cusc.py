@@ -67,8 +67,10 @@ def _bipartite_dims(ch: qc.QuantumChannel):
 
 def conditional_unitality_violation(ch: qc.QuantumChannel) -> float:
     """Largest entry deviation of Tr_A J from J_{BB'} (x) u_outA."""
-    da, db, db2 = _bipartite_dims(ch)
-    j = qc.choi(ch)
+    return _cu_violation(qc.choi(ch), *_bipartite_dims(ch))
+
+
+def _cu_violation(j: np.ndarray, da: int, db: int, db2: int) -> float:
     dims = [da, db, da, db2]
     j_b_ao_bo = _trace_out(j, dims, [0])            # order (B, A_out, B_out)
     j_b_bo = _trace_out(j_b_ao_bo, [db, da, db2], [1])
@@ -79,8 +81,10 @@ def conditional_unitality_violation(ch: qc.QuantumChannel) -> float:
 
 def semicausal_choi_violation(ch: qc.QuantumChannel) -> float:
     """Largest entry deviation of Tr_outA J from u_A (x) J_{BB'}."""
-    da, db, db2 = _bipartite_dims(ch)
-    j = qc.choi(ch)
+    return _sc_violation(qc.choi(ch), *_bipartite_dims(ch))
+
+
+def _sc_violation(j: np.ndarray, da: int, db: int, db2: int) -> float:
     dims = [da, db, da, db2]
     j_a_b_bo = _trace_out(j, dims, [2])             # order (A, B, B_out)
     j_b_bo = _trace_out(j_a_b_bo, [da, db, db2], [0])
@@ -116,8 +120,10 @@ def is_semicausal(ch: qc.QuantumChannel, tol: float = CUSC_ATOL, operational_tri
 
 
 def is_cusc(ch: qc.QuantumChannel, tol: float = CUSC_ATOL, operational_trials: int = 0, seed=0) -> CuscVerdict:
-    cu = conditional_unitality_violation(ch)
-    sc = semicausal_choi_violation(ch)
+    dims = _bipartite_dims(ch)
+    j = qc.choi(ch)
+    cu = _cu_violation(j, *dims)
+    sc = _sc_violation(j, *dims)
     op_ok = None
     worst = max(cu, sc)
     if operational_trials > 0:
@@ -221,19 +227,20 @@ def bell_scrambler(d: int) -> qc.QuantumChannel:
 
     Input bipartition ((A, A2), B), output ((A_out, A2_out), trivial); feeding
     it the maximally entangled state on (A,B) next to a maximally mixed A2
-    returns the first output basis state exactly.
+    returns the first output basis state exactly.  Kraus (j, a2) has one
+    non-zero row, row j, holding phi_j (x) e_a2 in (A, A2, B) order, with
+    phi_j the j-th vector of ``entangled_basis``; the d^3 rows form an
+    orthonormal basis of the input, so the Kraus set is exactly trace
+    preserving.
     """
-    bells = entangled_basis(d)
     d2 = d * d
-    side = d2 * d * d2
-    j = np.zeros((side, side), dtype=complex)
-    eye_a2 = np.eye(d, dtype=complex)
-    for idx, bvec in enumerate(bells):
-        block = kron(proj(bvec), eye_a2)                    # order (A, B, A2)
-        block = _permute_mat(block, [d, d, d], [0, 2, 1])   # -> (A, A2, B)
-        out = proj(ket(idx, d2))
-        j += kron(block, out)
-    return qc.from_choi(j, (d2, d), (d2, 1))
+    ks = []
+    for j, bvec in enumerate(entangled_basis(d)):
+        for a2 in range(d):
+            k = np.zeros((d2, d, d, d), dtype=complex)  # (out, A, A2, B)
+            k[j, :, a2, :] = bvec.reshape(d, d)
+            ks.append(k.reshape(d2, d2 * d))
+    return qc.QuantumChannel((d2, d), (d2, 1), tuple(ks))
 
 
 def nonneg_witness_channel(rho: DensityOperator) -> qc.QuantumChannel:

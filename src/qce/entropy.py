@@ -4,6 +4,14 @@ All entropies use log base 2, pinned by the normalization H(u_2) = 1.
 Eigenvalues below ``EIG_CUTOFF`` are treated as zero; relative entropies
 return ``math.inf`` when the first argument has weight outside the support
 of the second.
+
+``divergence`` is the general path: one ``eigh`` of each operand.  The
+conditional entropies H(A|B) = log|A| - D(rho_AB || u_A (x) rho_B) never form
+sigma = u_A (x) rho_B; its spectrum is the spectrum of rho_B scaled by 1/|A|.
+The Umegaki value costs one ``eigvalsh`` of side n = |A||B| and one of side
+|B|; the Dmax value one ``eigh`` of side |B|, two products with the n x n
+state and one ``eigvalsh`` of side |A| * rank(rho_B).  A dual adds one
+eigensolve of side n and evaluates its entropy on a state of side |A| * rank.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import math
 
 import numpy as np
 
-from .linalg import EIG_CUTOFF, DensityOperator, _spectral_amplitudes, _trace_out, kron
+from .linalg import EIG_CUTOFF, DensityOperator, _spectral_amplitudes, _trace_out
 
 UMEGAKI = "umegaki"
 DMAX = "dmax"
@@ -77,11 +85,36 @@ def _bipartite(state: DensityOperator):
 
 
 def cond_entropy_down(state: DensityOperator, kind: str = UMEGAKI) -> float:
-    """log2|A| minus the divergence from u_A (x) rho_B."""
+    """log2|A| minus the divergence from u_A (x) rho_B.
+
+    Equal to ``log2(da) - divergence(kind, state, u_A (x) rho_B)`` up to
+    rounding, without forming sigma.  For Umegaki it is H(AB) - H(B)
+    (``vn_cond_entropy``): the support test of ``divergence`` cannot fire
+    on a state, because supp rho_AB lies in A (x) supp rho_B, so the weight
+    on sigma's kernel is at most |A| * ``EIG_CUTOFF``, far below
+    ``SUPPORT_LEAK_ATOL``.  For Dmax, with rho_B = V diag(mu) V^dagger and W
+    = V_good mu_good^{-1/2} over the eigenvalues with mu/|A| above the
+    cutoff, sigma^{-1/2} rho sigma^{-1/2} has the spectrum of |A| * core,
+    core = (I_A (x) W)^dagger rho (I_A (x) W); weight of rho_B on its kernel
+    beyond ``SUPPORT_LEAK_ATOL`` gives -inf.
+    """
+    if kind == UMEGAKI:
+        return vn_cond_entropy(state)
+    if kind != DMAX:
+        raise ValueError(f"unknown divergence kind {kind!r}")
     da, db = _bipartite(state)
     rho_b = _trace_out(state.mat, state.dims, [0])
-    sigma = kron(np.eye(da) / da, rho_b)
-    return math.log2(da) - divergence(kind, state.mat, sigma)
+    mu, v = np.linalg.eigh(rho_b)
+    good = mu / da > EIG_CUTOFF
+    if mu[~good].sum() > SUPPORT_LEAK_ATOL:  # Tr(P_ker rho_B)
+        return -math.inf
+    w = v[:, good] / np.sqrt(mu[good])
+    k = w.shape[1]
+    # rho (I (x) W), then (I (x) W)^dagger on the left through its adjoint
+    right = (state.mat.reshape(-1, db) @ w).reshape(da * db, da * k)
+    core = (right.conj().T.reshape(-1, db) @ w).reshape(da * k, da * k)
+    lam_max = float(np.linalg.eigvalsh(0.5 * (core + core.conj().T)).max())
+    return math.log2(da) - math.log2(max(da * lam_max, EIG_CUTOFF))
 
 
 def vn_cond_entropy(state: DensityOperator) -> float:
@@ -101,7 +134,8 @@ def dual_cond_entropy(h, state: DensityOperator) -> float:
     da, db = _bipartite(state)
     amps, rank = _spectral_amplitudes(state)
     t = amps.reshape(da, db, rank)
-    rho_ac = np.einsum("abc,xby->acxy", t, t.conj()).reshape(da * rank, da * rank)
+    m = t.transpose(0, 2, 1).reshape(da * rank, db)  # rows (a, c), columns b
+    rho_ac = m @ m.conj().T
     return -h(DensityOperator((da, rank), rho_ac))
 
 

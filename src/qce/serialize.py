@@ -34,7 +34,12 @@ def decode_matrix(obj: dict) -> np.ndarray:
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError("matrix data length does not match rows*cols")
-    flat = np.array([complex(re, im) for re, im in data])
+    pairs = np.asarray(data)
+    if pairs.dtype.kind not in "biuf":
+        raise TypeError("matrix data must hold numbers")
+    if pairs.shape != (rows * cols, 2):
+        raise ValueError("matrix data must be [re, im] pairs")
+    flat = np.ascontiguousarray(pairs, dtype=float).view(complex)
     if not np.all(np.isfinite(flat)):
         raise ValueError("matrix has non-finite entries")
     return flat.reshape(rows, cols)
@@ -128,12 +133,18 @@ def joint_from_csv(text: str) -> ClassicalJoint:
     return ClassicalJoint(np.array(rows, dtype=float))
 
 
+def _float_pair(v) -> bool:
+    return type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
+
+
 def _round_floats(obj):
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if all(map(_float_pair, obj)):  # encoded matrix data, rounded in one pass
+            return [[float(f"{re:.12g}"), float(f"{im:.12g}")] for re, im in obj]
         return [_round_floats(v) for v in obj]
     return obj
 

@@ -230,6 +230,12 @@ def test_bad_input_files_exit_one(tmp_path, capsys):
     wrong = _write_json(tmp_path, "wrong.json", {"rows": 2, "cols": 2, "data": []})
     assert main(["cusc-check", "--channel", wrong]) == 1
     capsys.readouterr()
+    # u_2 with a string entry, with a ragged entry and with pairs of the wrong length
+    u2 = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+    for data in ([["0.5", 0.0]] + u2[1:], u2[:2] + [[0.0]] + u2[3:], [p + [0.0] for p in u2]):
+        bad = _write(tmp_path, "bad.json", json.dumps({"rows": 2, "cols": 2, "dims": [2, 1], "data": data}))
+        assert main(["entropy", "--state", bad]) == 1
+        capsys.readouterr()
 
 
 def test_non_finite_inputs_exit_one(tmp_path, capsys):

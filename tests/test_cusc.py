@@ -23,7 +23,9 @@ from qce.cusc import (
     unitary_sending_zero_to,
 )
 from qce.linalg import (
+    _permute_mat,
     density,
+    entangled_basis,
     ket,
     kron,
     max_entangled,
@@ -169,9 +171,23 @@ def test_teleport_random_targets():
         assert is_cusc(ch).max_violation <= TOL
 
 
+def _bell_scrambler_from_choi(d):
+    """The scrambler built from its Choi operator, as the reference."""
+    d2 = d * d
+    j = np.zeros((d2 * d * d2, d2 * d * d2), dtype=complex)
+    for idx, bvec in enumerate(entangled_basis(d)):
+        block = kron(proj(bvec), np.eye(d))                 # order (A, B, A2)
+        block = _permute_mat(block, [d, d, d], [0, 2, 1])   # -> (A, A2, B)
+        j += kron(block, proj(ket(idx, d2)))
+    return qc.from_choi(j, (d2, d), (d2, 1))
+
+
 def test_bell_scrambler_is_cusc_and_breaks_entanglement():
-    for d in (2, 3):
+    for d in (2, 3, 4):
         ch = bell_scrambler(d)
+        ref = _bell_scrambler_from_choi(d)
+        assert len(ch.kraus) == len(ref.kraus) == d ** 3
+        np.testing.assert_allclose(qc.choi(ch), qc.choi(ref), atol=1e-12)
         v = is_cusc(ch)
         assert v.conditionally_unital and v.semicausal_choi
         # entangled pair on (A, B), passive uniform A2, input order (A, A2, B)

@@ -18,14 +18,16 @@ from hypothesis import strategies as st
 from qce import channels as qc
 from qce.channel_games import ChannelGameSpec, _SearchObjective, degrade
 from qce.cusc import random_cusc, semicausal_from_parts, teleport_cusc
-from qce.entropy import DMAX, UMEGAKI, cond_entropy_down, dual_cond_entropy, vn_cond_entropy
+from qce.entropy import DMAX, UMEGAKI, cond_entropy_down, divergence, dual_cond_entropy, vn_cond_entropy
 from qce.linalg import (
     density,
     embed_alice,
     haar_unitary,
+    ket,
     max_entangled,
     partial_trace,
     permute_systems,
+    pure,
     random_density,
     rng,
 )
@@ -171,6 +173,26 @@ def test_search_objective_channel_stays_tp(da, din, env, seed):
 
 def _both(state):
     return cond_entropy_down(state, UMEGAKI), cond_entropy_down(state, DMAX)
+
+
+def _through_divergence(state, kind):
+    """The reference: log2|A| minus the general divergence from a dense u_A (x) rho_B."""
+    da = state.dims[0]
+    sigma = np.kron(np.eye(da) / da, partial_trace(state, [1]).mat)
+    return math.log2(da) - divergence(kind, state, sigma)
+
+
+@PROPS
+@given(da=sides, db=sides, seed=seeds, rank=st.integers(1, 16), pure_b=st.booleans())
+def test_cond_entropy_matches_the_dense_divergence(da, db, seed, rank, pure_b):
+    g = rng(seed)
+    if pure_b:  # rho_A (x) |0><0|: rho_B has rank 1
+        s = _state((da,), g, rank).tensor(pure(ket(0, db), (db,)))
+    else:
+        s = _state((da, db), g, rank)
+    for state in (s, _state((da, 1), g, rank)):  # the second has a trivial B
+        for kind in (UMEGAKI, DMAX):
+            assert abs(cond_entropy_down(state, kind) - _through_divergence(state, kind)) <= 1e-10
 
 
 @PROPS

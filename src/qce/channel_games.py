@@ -4,17 +4,18 @@ A channel game is a tuple of weighted input states (p_x, rho_x) on (A, B).
 The player prepends a preprocessing channel E on A; the host draws x, sends
 A through N o E, and pays out according to the top-x mass of the output,
 so the fixed-strategy value is  sum_x p_x * KyFan_x((N o E (x) id_B) rho_x)
-with x clipped at the output dimension.  The optimizer searches Stinespring
-isometries A -> in x env via the shared Givens parametrization, always
-evaluating a set of structured candidates (identity, replacements derived
-from the Choi eigenvectors and the computational basis, measure-and-prepare
-in the computational and Fourier bases) first.
+with x clipped at the output dimension.  A game groups its equal states once;
+one evaluator scores superoperator stacks: a fixed preprocessing, the
+structured candidates (identity, replacements derived from the Choi
+eigenvectors and the computational basis, measure-and-prepare in the
+computational and Fourier bases), the search over Stinespring isometries
+A -> in x env (shared Givens parametrization), and ``mc_sim``'s replays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,17 +43,25 @@ FIXED_EVAL_ATOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class ChannelGameSpec:
     entries: tuple  # ((p_x, DensityOperator), ...), x is the 1-based position
+    states: tuple = field(init=False, repr=False)  # distinct states (equal mat), in order of first occurrence
+    state_index: tuple = field(init=False, repr=False)  # group of each entry in ``states``
 
     def __post_init__(self):
         entries = tuple((float(p), s) for p, s in self.entries)
         if not entries:
             raise ValueError("game needs at least one entry")
         probability_vector([p for p, _ in entries])
-        dims = entries[0][1].dims
+        states, index = [], []
         for _, s in entries:
-            if s.dims != dims:
+            if s.dims != entries[0][1].dims:
                 raise ValueError("all game states must share their dims")
+            i = next((i for i, t in enumerate(states) if np.array_equal(s.mat, t.mat)), len(states))
+            if i == len(states):
+                states.append(s)
+            index.append(i)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "states", tuple(states))
+        object.__setattr__(self, "state_index", tuple(index))
 
     @property
     def state_dims(self):
@@ -79,33 +88,6 @@ def bell_game(p) -> ChannelGameSpec:
 def zero_game(p) -> ChannelGameSpec:
     z = pure(ket(0, 2), (2,))
     return ChannelGameSpec(tuple((float(px), z) for px in p))
-
-
-def _output_prefixes(n: qc.QuantumChannel, e: qc.QuantumChannel, state: DensityOperator, db: int) -> np.ndarray:
-    full = qc.compose(n, e)
-    if db > 1:
-        full = qc.tensor(full, qc.identity_channel((db,)))
-    out = qc.apply_mat(full, state.mat)
-    lam = np.linalg.eigvalsh(out)[::-1]
-    return np.cumsum(np.clip(lam, 0.0, None))
-
-
-def channel_reward_fixed(n: qc.QuantumChannel, e: qc.QuantumChannel, game: ChannelGameSpec) -> float:
-    """Game value for a fixed preprocessing channel."""
-    da, db = bipartite_dims(game.entries[0][1])
-    if e.din != da or e.dout != n.din:
-        raise ValueError("preprocessing dims do not bridge the game and the channel")
-    prefix_cache: dict[int, np.ndarray] = {}
-    value = 0.0
-    for x, (px, state) in enumerate(game.entries, start=1):
-        if px == 0.0:
-            continue
-        key = id(state)
-        if key not in prefix_cache:
-            prefix_cache[key] = _output_prefixes(n, e, state, db)
-        pref = prefix_cache[key]
-        value += px * float(pref[min(x, pref.size) - 1])
-    return value
 
 
 def _choi_input_candidates(n: qc.QuantumChannel) -> list[np.ndarray]:
@@ -145,53 +127,69 @@ def _superop(kraus) -> np.ndarray:
     return sum(np.kron(k, k.conj()) for k in kraus)
 
 
-class _SearchObjective:
-    """Fast game evaluator for Stinespring-isometry preprocessings.
+class _GameEvaluator:
+    """The one evaluator of channel-game values, built from (n, game).
 
-    Precomputes the fixed channel's superoperator and the reshaped game
-    states so a stack of trial isometries costs one batched einsum, two
-    stacked matmuls and one stacked eigvalsh per distinct state.  Each row
-    scores bitwise as it would alone.  Agrees with channel_reward_fixed to
-    roundoff; the winning isometry is re-scored through the exact path
-    before reporting.
+    Holds the channel's superoperator and, per distinct game state, its
+    reshaped matrix and the weights on its output's Ky-Fan prefixes.  A stack
+    of R preprocessing superoperators (R, din^2, da^2) costs two stacked
+    matmuls and one stacked eigvalsh per distinct state; each row scores
+    bitwise as it would alone.
     """
 
-    def __init__(self, n: qc.QuantumChannel, game: ChannelGameSpec, da: int, db: int, env: int):
-        self.din, self.dout, self.da, self.db, self.env = n.din, n.dout, da, db, env
+    def __init__(self, n: qc.QuantumChannel, game: ChannelGameSpec):
+        da, db = bipartite_dims(game.states[0])
+        self.din, self.dout, self.da, self.db = n.din, n.dout, da, db
         self.sn = _superop(n.kraus)
         side_out = n.dout * db
-        mats: list[np.ndarray] = []
-        coeffs: list[np.ndarray] = []
-        index: dict[int, int] = {}
-        for x, (px, state) in enumerate(game.entries, start=1):
-            key = id(state)
-            if key not in index:
-                index[key] = len(mats)
-                m = state.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3)
-                mats.append(np.ascontiguousarray(m.reshape(da * da, db * db)))
-                coeffs.append(np.zeros(side_out))
-            coeffs[index[key]][min(x, side_out) - 1] += px
-        self.mats = mats
-        self.coeffs = coeffs
+        self.mats: list[np.ndarray] = []
+        for state in game.states:
+            m = state.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3)
+            self.mats.append(np.ascontiguousarray(m.reshape(da * da, db * db)))
+        self.coeffs = [np.zeros(side_out) for _ in game.states]
+        for x, ((px, _), i) in enumerate(zip(game.entries, game.state_index), start=1):
+            self.coeffs[i][min(x, side_out) - 1] += px
 
-    def __call__(self, vs: np.ndarray) -> np.ndarray:
-        """Game values of a stack of isometries, shape (R, din * env, da) -> (R,)."""
-        blocks = vs.reshape(-1, self.din, self.env, self.da)
-        se = np.einsum("riea,rjeb->rijab", blocks, blocks.conj()).reshape(-1, self.din ** 2, self.da ** 2)
+    def superop(self, e: qc.QuantumChannel) -> np.ndarray:
+        """Superoperator of a Kraus preprocessing A -> channel input."""
+        if e.din != self.da or e.dout != self.din:
+            raise ValueError("preprocessing dims do not bridge the game and the channel")
+        return _superop(e.kraus)
+
+    def spectra(self, se: np.ndarray) -> list[np.ndarray]:
+        """Descending output spectra clipped at 0, one (R, dout * db) array per distinct state."""
         s = self.sn @ se
         dout, db = self.dout, self.db
-        total = np.zeros(len(blocks))
-        for m, coeff in zip(self.mats, self.coeffs):
-            out = (s @ m).reshape(-1, dout, dout, db, db).transpose(0, 1, 3, 2, 4)
-            lam = np.linalg.eigvalsh(out.reshape(-1, dout * db, dout * db))[:, ::-1]
-            pref = np.cumsum(np.clip(lam, 0.0, None), axis=-1)
+        out = []
+        for m in self.mats:
+            o = (s @ m).reshape(-1, dout, dout, db, db).transpose(0, 1, 3, 2, 4)
+            lam = np.linalg.eigvalsh(o.reshape(-1, dout * db, dout * db))[:, ::-1]
+            out.append(np.clip(lam, 0.0, None))
+        return out
+
+    def values(self, se: np.ndarray) -> np.ndarray:
+        """Game values of a stack of preprocessing superoperators, shape (R, din^2, da^2) -> (R,)."""
+        total = np.zeros(len(se))
+        for lam, coeff in zip(self.spectra(se), self.coeffs):
+            pref = np.cumsum(lam, axis=-1)
             total += (pref[:, None, :] @ coeff[:, None])[:, 0, 0]  # a 1-D dot per row, summed as coeff @ pref
         return total
 
+    def __call__(self, vs: np.ndarray) -> np.ndarray:
+        """Game values of a stack of isometries, shape (R, din * env, da) -> (R,)."""
+        blocks = vs.reshape(len(vs), self.din, -1, self.da)
+        se = np.einsum("riea,rjeb->rijab", blocks, blocks.conj()).reshape(-1, self.din ** 2, self.da ** 2)
+        return self.values(se)
+
     def channel(self, v: np.ndarray) -> qc.QuantumChannel:
-        blocks = v.reshape(self.din, self.env, self.da)
-        ks = tuple(blocks[:, e_idx, :] for e_idx in range(self.env))
+        ks = tuple(v.reshape(self.din, -1, self.da).transpose(1, 0, 2))
         return qc.QuantumChannel((self.da,), (self.din,), ks)
+
+
+def channel_reward_fixed(n: qc.QuantumChannel, e: qc.QuantumChannel, game: ChannelGameSpec) -> float:
+    """Game value for a fixed preprocessing channel: one row of the game evaluator."""
+    ev = _GameEvaluator(n, game)
+    return float(ev.values(ev.superop(e)[None])[0])
 
 
 def channel_reward(
@@ -200,24 +198,19 @@ def channel_reward(
     opts: ChannelOpts | None = None,
     extra_candidates=(),
 ) -> ChannelRewardReport:
-    """Best game value over preprocessing channels (structured + searched)."""
+    """Best game value over preprocessing channels: the structured ones as one stack, then the search."""
     opts = opts or ChannelOpts()
-    da, db = bipartite_dims(game.entries[0][1])
-    best_val = -math.inf
-    best_e = None
-    for cand in _structured_candidates(n, da, extra_candidates):
-        val = channel_reward_fixed(n, cand, game)
+    ev = _GameEvaluator(n, game)
+    cands = _structured_candidates(n, ev.da, extra_candidates)
+    best_val, best_e = -math.inf, None
+    for cand, val in zip(cands, ev.values(np.stack([ev.superop(c) for c in cands]))):
         if val > best_val + 1e-15:
             best_val, best_e = val, cand
 
-    env = opts.kraus_rank if opts.kraus_rank is not None else da * da
-    side = n.din * env
-    fast = _SearchObjective(n, game, da, db, env)
-    v, _, used = search_isometry(fast, side, da, opts)
-    e_found = fast.channel(v)
-    val = channel_reward_fixed(n, e_found, game)
+    env = opts.kraus_rank if opts.kraus_rank is not None else ev.da * ev.da
+    v, val, used = search_isometry(ev, n.din * env, ev.da, opts)
     if val > best_val + 1e-15:
-        best_val, best_e = val, e_found
+        best_val, best_e = val, ev.channel(v)
     return ChannelRewardReport(float(best_val), best_e, restarts_used=used)
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as qc
-from .channel_games import ChannelGameSpec
+from .channel_games import ChannelGameSpec, _GameEvaluator
 from .linalg import ATOL, DensityOperator, rng
-from .state_games import Adversary, StateGameSpec, StateStrategy, _conditioned_eigs, bipartite_dims, scramble
+from .state_games import Adversary, StateGameSpec, StateStrategy, _conditioned_eigs, scramble
 
 
 @dataclass(frozen=True)
@@ -106,24 +106,15 @@ def simulate_channel_game(
 ) -> SimResult:
     if rounds < 1:
         raise ValueError("rounds must be positive")
+    ev = _GameEvaluator(n, game)
+    spectra = [lam[0] / lam[0].sum() for lam in ev.spectra(ev.superop(e)[None])]
     g = rng(seed)
-    da, db = bipartite_dims(game.entries[0][1])
-    full = qc.compose(n, e)
-    if db > 1:
-        full = qc.tensor(full, qc.identity_channel((db,)))
-    spectra = {}
-    for x, (_, state) in enumerate(game.entries):
-        key = id(state)
-        if key not in spectra:
-            lam = np.linalg.eigvalsh(qc.apply_mat(full, state.mat))[::-1]
-            lam = np.clip(lam, 0.0, None)
-            spectra[key] = lam / lam.sum()
     ps = np.array([p for p, _ in game.entries])
     xs = _sample_categorical(g, ps, rounds)
     wins = 0
     for x in np.unique(xs):
         mask = xs == x
-        lam = spectra[id(game.entries[x][1])]
+        lam = spectra[game.state_index[x]]
         y = _sample_categorical(g, lam, int(mask.sum()))
         wins += int((y <= x).sum())  # rank y+1 within top x+1
     return _result(wins, rounds, seed)

@@ -11,6 +11,7 @@ runs serialize byte for byte.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +24,17 @@ from .mc_sim import SimResult
 from .state_games import StateGameSpec
 
 
+def _json_int(v, name: str) -> int:
+    if type(v) is not int:  # a bool is no JSON int
+        raise TypeError(f"{name} must be a JSON integer, not {v!r}")
+    return v
+
+
+def _json_numbers(values, name: str) -> None:
+    if not set(map(type, values)) <= {int, float}:
+        raise TypeError(f"{name} must be JSON numbers")
+
+
 def encode_matrix(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     data = np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist()
@@ -30,16 +42,14 @@ def encode_matrix(m: np.ndarray) -> dict:
 
 
 def decode_matrix(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError("matrix data length does not match rows*cols")
-    pairs = np.asarray(data)
-    if pairs.dtype.kind not in "biuf":
-        raise TypeError("matrix data must hold numbers")
-    if pairs.shape != (rows * cols, 2):
+    if set(map(len, data)) - {2}:
         raise ValueError("matrix data must be [re, im] pairs")
-    flat = np.ascontiguousarray(pairs, dtype=float).view(complex)
+    _json_numbers(chain.from_iterable(data), "matrix entries")
+    flat = np.fromiter(chain.from_iterable(data), float, 2 * rows * cols).view(complex)
     if not np.all(np.isfinite(flat)):
         raise ValueError("matrix has non-finite entries")
     return flat.reshape(rows, cols)
@@ -52,7 +62,7 @@ def encode_density(state: DensityOperator) -> dict:
 
 
 def decode_density(obj: dict) -> DensityOperator:
-    return density(decode_matrix(obj), tuple(int(d) for d in obj["dims"]))
+    return density(decode_matrix(obj), tuple(_json_int(d, "dims") for d in obj["dims"]))
 
 
 def encode_channel(ch: qc.QuantumChannel, as_choi: bool = False) -> dict:
@@ -65,8 +75,8 @@ def encode_channel(ch: qc.QuantumChannel, as_choi: bool = False) -> dict:
 
 
 def decode_channel(obj: dict) -> qc.QuantumChannel:
-    in_dims = tuple(int(d) for d in obj["in_dims"])
-    out_dims = tuple(int(d) for d in obj["out_dims"])
+    in_dims = tuple(_json_int(d, "in_dims") for d in obj["in_dims"])
+    out_dims = tuple(_json_int(d, "out_dims") for d in obj["out_dims"])
     if "kraus" in obj:
         return qc.channel([decode_matrix(k) for k in obj["kraus"]], in_dims, out_dims)
     if "choi" in obj:
@@ -79,6 +89,7 @@ def encode_host(host: HostMatrix) -> dict:
 
 
 def decode_host(obj: dict) -> HostMatrix:
+    _json_numbers(chain.from_iterable(obj["t"]), "host entries")
     return HostMatrix(np.array(obj["t"], dtype=float))
 
 
@@ -89,7 +100,9 @@ def encode_state_game(game: StateGameSpec) -> dict:
 
 
 def decode_state_game(obj: dict) -> StateGameSpec:
-    return StateGameSpec(decode_host(obj), float(obj.get("p_adv", 0.0)))
+    p_adv = obj.get("p_adv", 0.0)
+    _json_numbers([p_adv], "p_adv")
+    return StateGameSpec(decode_host(obj), float(p_adv))
 
 
 def encode_channel_game(game: ChannelGameSpec) -> dict:
@@ -97,7 +110,8 @@ def encode_channel_game(game: ChannelGameSpec) -> dict:
 
 
 def decode_channel_game(obj: dict) -> ChannelGameSpec:
-    return ChannelGameSpec(tuple((float(e["p"]), decode_density(e["state"])) for e in obj["entries"]))
+    _json_numbers([e["p"] for e in obj["entries"]], "game weights")
+    return ChannelGameSpec(tuple((e["p"], decode_density(e["state"])) for e in obj["entries"]))
 
 
 def encode_sim_result(res: SimResult) -> dict:

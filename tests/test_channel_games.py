@@ -1,9 +1,12 @@
 """Gambling games on channels: fixed values, search, degradation, purity."""
 
+import json
+
 import numpy as np
 import pytest
 
 from qce import channels as qc
+from qce import serialize as ser
 from qce.channel_games import (
     AMP_DAMP_TABLE_NOTE,
     FIXED_EVAL_ATOL,
@@ -20,10 +23,12 @@ from qce.channel_games import (
     purity_game,
     spectrum_probe_games,
     zero_game,
-    _SearchObjective,
+    _GameEvaluator,
+    _structured_candidates,
 )
 from qce.linalg import (
     dagger,
+    density,
     eig_desc,
     haar_unitary,
     ket,
@@ -35,11 +40,26 @@ from qce.linalg import (
     random_density,
     rng,
 )
+from qce.mc_sim import simulate_channel_game
 from qce.optim import isometry_from_params, n_iso_params
 from qce.state_games import bipartite_dims
 
 SEED = 20240823
 FAST = ChannelOpts(restarts=4, sweeps=1, seed=SEED)
+
+
+def kraus_path_value(n, e, game):
+    """Independent reference: (N o E (x) id_B) rho_x from Kraus operators, then Ky-Fan prefixes."""
+    da, db = bipartite_dims(game.entries[0][1])
+    full = qc.compose(n, e)
+    if db > 1:
+        full = qc.tensor(full, qc.identity_channel((db,)))
+    value = 0.0
+    for x, (px, state) in enumerate(game.entries, start=1):
+        lam = np.linalg.eigvalsh(qc.apply_mat(full, state.mat))[::-1]
+        pref = np.cumsum(np.clip(lam, 0.0, None))
+        value += px * float(pref[min(x, pref.size) - 1])
+    return value
 
 
 def test_game_spec_validation():
@@ -59,6 +79,35 @@ def test_bell_and_zero_game_shapes():
     assert len(b.entries) == 4 and b.state_dims == (2, 2)
     z = zero_game((0.7, 0.3))
     assert len(z.entries) == 2 and z.state_dims == (2,)
+
+
+def test_game_groups_equal_states_by_content():
+    phi = max_entangled(2)
+    twin = density(phi.mat.copy(), (2, 2))  # another object, equal matrix
+    other = random_density((2, 2), seed=SEED)
+    game = ChannelGameSpec(((0.4, phi), (0.3, other), (0.2, twin), (0.1, phi)))
+    assert game.state_index == (0, 1, 0, 0)
+    assert len(game.states) == 2 and game.states[0] is phi and game.states[1] is other
+    nudged = density(phi.mat + np.diag([1e-15, 0.0, 0.0, -1e-15]), (2, 2))
+    assert ChannelGameSpec(((0.5, phi), (0.5, nudged))).state_index == (0, 1)
+
+
+def test_decoded_game_scores_as_its_in_memory_original():
+    game = bell_game((0.4, 0.3, 0.2, 0.1))
+    # stdlib json keeps every float digit, so the decoded states equal phi's matrix
+    decoded = ser.decode_channel_game(json.loads(json.dumps(ser.encode_channel_game(game))))
+    assert len(decoded.states) == 1 and decoded.state_index == (0, 0, 0, 0)
+    n = qc.depolarizing(0.3)
+    opts = ChannelOpts(restarts=8, sweeps=1, seed=1)
+    a, b = channel_reward(n, game, opts), channel_reward(n, decoded, opts)
+    assert a.value == b.value and a.restarts_used == b.restarts_used
+    assert [k.tobytes() for k in a.preprocessing.kraus] == [k.tobytes() for k in b.preprocessing.kraus]
+    sim = simulate_channel_game(n, a.preprocessing, game, rounds=5000, seed=3)
+    assert sim == simulate_channel_game(n, b.preprocessing, decoded, rounds=5000, seed=3)
+    # dumps rounds to 12 digits (phi's 0.4999999999999999 becomes 0.5): still one group, equal to roundoff
+    rounded = ser.decode_channel_game(json.loads(ser.dumps(ser.encode_channel_game(game))))
+    assert len(rounded.states) == 1
+    assert abs(channel_reward(n, rounded, opts).value - a.value) < 1e-14
 
 
 def test_fixed_reward_identity_bell():
@@ -89,8 +138,8 @@ def test_fixed_reward_monotone_in_coarsening():
 
 
 def test_reported_value_matches_fixed_evaluation():
-    # whatever the search returns must re-score identically through the
-    # exact path; guards the fast objective against drift
+    # the reported value must re-score as the reported preprocessing, in the
+    # evaluator and through the independent Kraus path
     g = rng(SEED + 1)
     for trial in range(3):
         ch = qc.random_channel(2, 2, seed=trial)
@@ -98,6 +147,7 @@ def test_reported_value_matches_fixed_evaluation():
         rep = channel_reward(ch, game, FAST)
         again = channel_reward_fixed(ch, rep.preprocessing, game)
         assert abs(rep.value - again) < 1e-12
+        assert abs(rep.value - kraus_path_value(ch, rep.preprocessing, game)) < FIXED_EVAL_ATOL
 
 
 def test_search_objective_scores_a_stack_row_by_row():
@@ -110,16 +160,44 @@ def test_search_objective_scores_a_stack_row_by_row():
     ]
     for ch in (qc.amplitude_damping(0.3), qc.random_channel(2, 3, seed=g)):
         for game in games:
-            da, db = bipartite_dims(game.entries[0][1])
+            da = bipartite_dims(game.entries[0][1])[0]
+            fast = _GameEvaluator(ch, game)
             for env in (da * da, 1):
-                fast = _SearchObjective(ch, game, da, db, env)
                 side = ch.din * env
                 vs = isometry_from_params(side, da, g.uniform(-np.pi, np.pi, (6, n_iso_params(side, da))))
                 values = fast(vs)
                 assert values.shape == (6,)
                 for v, value in zip(vs, values):
                     assert fast(v[None])[0].tobytes() == value.tobytes()
-                    assert abs(value - channel_reward_fixed(ch, fast.channel(v), game)) < FIXED_EVAL_ATOL
+                    e = fast.channel(v)
+                    ref = kraus_path_value(ch, e, game)
+                    assert abs(value - ref) < FIXED_EVAL_ATOL
+                    assert abs(channel_reward_fixed(ch, e, game) - ref) < FIXED_EVAL_ATOL
+
+
+def test_structured_candidates_score_as_one_stack():
+    g = rng(SEED + 8)
+    mixed = random_density((2, 2), seed=g)
+    games = [bell_game((0.4, 0.3, 0.2, 0.1)), ChannelGameSpec(((0.5, mixed), (0.3, max_entangled(2)), (0.2, mixed)))]
+    for ch in (qc.amplitude_damping(0.3), qc.random_channel(2, 3, seed=g), qc.random_channel(3, 2, seed=g)):
+        for game in games:
+            ev = _GameEvaluator(ch, game)
+            cands = _structured_candidates(ch, ev.da)
+            values = ev.values(np.stack([ev.superop(c) for c in cands]))
+            assert values.shape == (len(cands),)
+            for cand, value in zip(cands, values):
+                assert np.float64(channel_reward_fixed(ch, cand, game)).tobytes() == value.tobytes()
+                assert abs(value - kraus_path_value(ch, cand, game)) < FIXED_EVAL_ATOL
+
+
+def test_fixed_value_rejects_a_preprocessing_that_does_not_bridge():
+    game = bell_game((0.4, 0.3, 0.2, 0.1))
+    ch = qc.depolarizing(0.3)
+    for e in (qc.random_channel(3, 2, seed=1), qc.random_channel(2, 3, seed=1)):
+        with pytest.raises(ValueError, match="do not bridge"):
+            channel_reward_fixed(ch, e, game)
+        with pytest.raises(ValueError, match="do not bridge"):
+            simulate_channel_game(ch, e, game, rounds=10)
 
 
 def test_channel_reward_deterministic():

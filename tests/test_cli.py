@@ -236,6 +236,37 @@ def test_bad_input_files_exit_one(tmp_path, capsys):
         bad = _write(tmp_path, "bad.json", json.dumps({"rows": 2, "cols": 2, "dims": [2, 1], "data": data}))
         assert main(["entropy", "--state", bad]) == 1
         capsys.readouterr()
+    # scalars of the wrong JSON type: float dims and rows, bools, numbers as strings
+    u2_state = {"rows": 2, "cols": 2, "dims": [2, 1], "data": u2}
+    for key, value in (("dims", [2.7, 1.2]), ("dims", [2, True]), ("rows", 2.9), ("cols", "2"),
+                       ("data", [[True, 0.0]] + u2[1:])):
+        bad = _write(tmp_path, "bad.json", json.dumps({**u2_state, key: value}))
+        assert main(["entropy", "--state", bad]) == 1
+        capsys.readouterr()
+    ints = _write(tmp_path, "ints.json", json.dumps({**u2_state, "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    assert main(["entropy", "--state", ints]) == 0  # JSON ints stay valid numbers
+    capsys.readouterr()
+
+    phi = _write_json(tmp_path, "phi.json", ser.encode_density(max_entangled(2)))
+    for t, p_adv in (([["1.0"], [0.0]], 0.0), ([[True], [False]], 0.0), ([[1.0], [0.0]], "0.5"), ([[1.0], [0.0]], True)):
+        game = _write(tmp_path, "game.json", json.dumps({"t": t, "p_adv": p_adv}))
+        assert main(["state-reward", "--state", phi, "--game", game, "--restarts", "1"]) == 1
+        capsys.readouterr()
+    game = _write(tmp_path, "game.json", json.dumps({"t": [[1], [0]], "p_adv": 0}))
+    assert main(["state-reward", "--state", phi, "--game", game, "--restarts", "1"]) == 0
+    capsys.readouterr()
+
+    ch = _write_json(tmp_path, "id.json", ser.encode_channel(qc.identity_channel((2,))))
+    for dims in ([2.0], [True]):
+        bad = _write(tmp_path, "bad_ch.json", json.dumps({**ser.encode_channel(qc.identity_channel((2,))), "in_dims": dims}))
+        assert main(["cusc-check", "--channel", bad]) == 1
+        capsys.readouterr()
+    for p in ("1.0", True):
+        ch_game = ser.encode_channel_game(bell_game((1.0, 0.0, 0.0, 0.0)))
+        ch_game["entries"][0]["p"] = p
+        game = _write(tmp_path, "ch_game.json", json.dumps(ch_game))
+        assert main(["channel-reward", "--channel", ch, "--game", game, "--restarts", "1"]) == 1
+        capsys.readouterr()
 
 
 def test_non_finite_inputs_exit_one(tmp_path, capsys):

@@ -5,11 +5,12 @@ import pytest
 
 from qce import channels as qc
 from qce.classical import HostMatrix, fixed_w_host, prob_t, random_host, random_joint, embed_classical
-from qce.channel_games import bell_game, channel_reward_fixed, zero_game
+from qce.channel_games import bell_game, zero_game
 from qce.linalg import fourier_matrix, ket, max_entangled, maximally_mixed, pure, rng
 from qce.mc_sim import simulate_channel_game, simulate_state_game
 from qce.optim import OptOpts
 from qce.state_games import Adversary, StateGameSpec, StateStrategy, reward_given_bob, reward_noadv
+from test_channel_games import kraus_path_value
 
 SEED = 20240824
 ROUNDS = 20000
@@ -128,7 +129,7 @@ def test_channel_game_tracks_fixed_value():
         e = qc.random_channel(2, 2, seed=trial + 100)
         p = g.dirichlet(np.ones(4))
         game = bell_game(p)
-        want = channel_reward_fixed(n, e, game)
+        want = kraus_path_value(n, e, game)
         res = simulate_channel_game(n, e, game, rounds=ROUNDS, seed=trial)
         assert _sigma_band(res, want), f"trial {trial}: {res.win_rate} vs {want}"
 

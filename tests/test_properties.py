@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qce import channels as qc
-from qce.channel_games import ChannelGameSpec, _SearchObjective, degrade
+from qce.channel_games import ChannelGameSpec, _GameEvaluator, degrade
 from qce.cusc import random_cusc, semicausal_from_parts, teleport_cusc
 from qce.entropy import DMAX, UMEGAKI, cond_entropy_down, divergence, dual_cond_entropy, vn_cond_entropy
 from qce.linalg import (
@@ -162,7 +162,7 @@ def test_search_objective_channel_stays_tp(da, din, env, seed):
         env = da
     n = qc.random_channel(din, 2, seed=g)
     game = ChannelGameSpec(((1.0, random_density((da, 2), seed=g)),))
-    fast = _SearchObjective(n, game, da, 2, env)
+    fast = _GameEvaluator(n, game)
     params = g.uniform(-math.pi, math.pi, n_iso_params(din * env, da))
     checked_channel(fast.channel(isometry_from_params(din * env, da, params)))
 

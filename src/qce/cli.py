@@ -32,7 +32,6 @@ from .linalg import haar_unitary, proj, random_density
 from .mc_sim import simulate_channel_game, simulate_state_game
 from .optim import OptOpts
 from .state_games import reward as state_reward
-from .state_games import reward_noadv
 
 TABLE_GAP_FLAG = 1e-3
 
@@ -200,7 +199,8 @@ def cmd_simulate(args) -> None:
         game = ser.decode_state_game(_load_json(args.game))
         opts = OptOpts(restarts=args.restarts, seed=args.seed)
         report = state_reward(state, game, opts)
-        strategy = report.strategy if report.strategy is not None else reward_noadv(state, game.host, opts).strategy
+        # only a p_adv = 1 report has no plain-round strategy, and then no plain round is played
+        strategy = report.strategy if report.strategy is not None else report.adversary.response
         res = simulate_state_game(state, game, strategy, report.adversary, rounds=args.rounds, seed=args.seed)
     elif args.channel:
         ch = ser.decode_channel(_load_json(args.channel))

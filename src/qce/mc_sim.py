@@ -79,6 +79,7 @@ def simulate_state_game(
     rounds: int = 10**5,
     seed: int = 0,
 ) -> SimResult:
+    """Plain rounds play ``strategy``; adversary rounds play ``adversary.response`` on the scrambled state."""
     if rounds < 1:
         raise ValueError("rounds must be positive")
     if game.p_adv > 0.0 and adversary is None:
@@ -92,8 +93,8 @@ def simulate_state_game(
     wins += _play_rounds(g, plain_table, strategy.answer, t, rounds - n_adv)
     if n_adv:
         scrambled = scramble(state, adversary.basis, adversary.partition)
-        adv_table = _joint_outcome_table(scrambled, strategy.bob_basis)
-        wins += _play_rounds(g, adv_table, strategy.answer, t, n_adv)
+        response = adversary.response
+        wins += _play_rounds(g, _joint_outcome_table(scrambled, response.bob_basis), response.answer, t, n_adv)
     return _result(wins, rounds, seed)
 
 

@@ -6,9 +6,11 @@ draws a prize rank w from column z'; Alice measures her conditioned share in
 its own eigenbasis and wins if her outcome ranks within the top w.  The
 optimal value for a fixed Bob basis folds into t-weighted Ky-Fan sums of the
 unnormalized conditioned operators.  With probability ``p_adv`` an adversary
-first scrambles Alice's share in a projective partition of its choice;
-Bob learns the chosen measurement, so his strategy is re-optimized per
-adversary candidate inside the minimization.
+first measures Alice's share in a rank-one basis of its choice; a coarser
+projective partition of the same basis never does better, since refining a
+pinching pinches again, which cannot raise any Ky-Fan sum.  Bob learns the
+chosen basis, so his strategy is re-optimized per adversary candidate inside
+the minimization, and the report carries his response to the chosen move.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ class StateStrategy:
 class Adversary:
     basis: np.ndarray              # columns define the projective partition blocks
     partition: tuple               # tuple of tuples of basis-column indices
+    response: StateStrategy        # Bob's best response to this move
 
 
 @dataclass(frozen=True)
@@ -115,32 +118,6 @@ def reward_noadv(state: DensityOperator, host: HostMatrix, opts: OptOpts | None 
     return RewardReport(float(value), StateStrategy(u, answer), restarts_used=used)
 
 
-def set_partitions(n: int):
-    """All partitions of range(n) as tuples of tuples (trivial partition first)."""
-    if n == 0:
-        return [()]
-    seen = {((tuple(range(n)),))}
-    out = [(tuple(range(n)),)]
-
-    def rec(i, blocks):
-        if i == n:
-            key = tuple(sorted(tuple(b) for b in blocks))
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-            return
-        for b in blocks:
-            b.append(i)
-            rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        rec(i + 1, blocks)
-        blocks.pop()
-
-    rec(0, [])
-    return out
-
-
 def scramble(state: DensityOperator, basis: np.ndarray, partition) -> DensityOperator:
     """Project Alice's share onto the partition blocks of a unitary basis of A."""
     da, db = bipartite_dims(state)
@@ -172,38 +149,34 @@ def reward_adv(
     opts: OptOpts | None = None,
     inner_opts: OptOpts | None = None,
 ) -> RewardReport:
-    """Adversarial reward: minimize Bob's re-optimized value over scrambles.
+    """Adversarial reward: minimize Bob's re-optimized value over dephasings of A.
 
-    The adversary ranges over all partitions of Alice's basis labels (the
-    trivial partition acts as identity) and a searched measurement basis;
-    Bob's inner maximization sees the adversary's conjugate basis as a
-    structured candidate when |A| = |B|.
+    The adversary measures Alice's share in a searched basis (the partition
+    into singletons) or leaves it alone (the trivial partition), whichever
+    leaves Bob less; coarser partitions of a basis are dominated by its
+    singletons and are not searched.  Bob's inner maximization sees the
+    adversary's conjugate basis as a structured candidate when |A| = |B|.
     """
     da, db = bipartite_dims(state)
     opts = opts or OptOpts(restarts=8, sweeps=1)
     inner_opts = inner_opts or OptOpts(restarts=4, sweeps=1)
     if da > 5:
-        raise ValueError("adversary partition enumeration supports |A| <= 5")
+        raise ValueError("adversarial reward supports |A| <= 5")
 
-    best_value = reward_noadv(state, host, inner_opts).value
-    best_adv = Adversary(np.eye(da, dtype=complex), (tuple(range(da)),))
-    used = 0
-    for partition in set_partitions(da):
-        if len(partition) == 1:
-            continue  # trivial partition handled above
+    free = reward_noadv(state, host, inner_opts)
+    trivial = Adversary(np.eye(da, dtype=complex), (tuple(range(da)),), free.strategy)
+    if da == 1:
+        return RewardReport(free.value, adversary=trivial)
+    finest = tuple((i,) for i in range(da))
 
-        def bob_value(u):
-            scrambled = scramble(state, u, partition)
-            return reward_noadv(scrambled, host, inner_opts, extra_bases=(u.conj(),) if da == db else ()).value
+    def bob(u):
+        return reward_noadv(scramble(state, u, finest), host, inner_opts, extra_bases=(u.conj(),) if da == db else ())
 
-        objective = lambda us: np.array([bob_value(u) for u in us])
-
-        u, value, n_used = search_unitary(objective, da, opts, structured=_structured_adv_bases(state), minimize=True)
-        used += n_used
-        if value < best_value - 1e-15:
-            best_value = value
-            best_adv = Adversary(u, partition)
-    return RewardReport(float(best_value), adversary=best_adv, restarts_used=used)
+    objective = lambda us: np.array([bob(u).value for u in us])
+    u, value, used = search_unitary(objective, da, opts, structured=_structured_adv_bases(state), minimize=True)
+    if value < free.value - 1e-15:
+        return RewardReport(float(value), adversary=Adversary(u, finest, bob(u).strategy), restarts_used=used)
+    return RewardReport(free.value, adversary=trivial, restarts_used=used)
 
 
 def reward(

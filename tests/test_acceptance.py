@@ -393,7 +393,7 @@ def test_criterion_13_monte_carlo_matches_and_reproduces():
 
     coin_host = fixed_w_host(1, 2)
     strat = StateStrategy(np.eye(2, dtype=complex), np.zeros(2, dtype=int))
-    adv = Adversary(fourier_matrix(2), ((0,), (1,)))
+    adv = Adversary(fourier_matrix(2), ((0,), (1,)), strat)
     for p_adv, want in ((0.0, 1.0), (1.0, 0.5), (0.5, 0.75)):
         res = simulate_state_game(phi, StateGameSpec(coin_host, p_adv), strat, adv, rounds=rounds, seed=201)
         assert abs(res.win_rate - want) <= 4 * res.std_err + 1e-12, p_adv

@@ -11,7 +11,7 @@ from qce.channel_games import bell_game
 from qce.classical import ClassicalJoint, HostMatrix, random_host
 from qce.cli import main
 from qce.entropy import DMAX, UMEGAKI
-from qce.linalg import density, ket, kron, max_entangled, permutation_matrix, proj, random_density
+from qce.linalg import density, ket, kron, max_entangled, permutation_matrix, proj, random_density, rng
 from qce.state_games import StateGameSpec
 
 SEED = 20240826
@@ -186,6 +186,35 @@ def test_simulate_state_replays_the_adversary(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert abs(obj["win_rate"] - value) <= 5 * obj["std_err"]
+
+
+def test_simulate_state_replays_bob_response_to_the_adversary(tmp_path, capsys):
+    # the adversarial value lets Bob re-optimize against the adversary's
+    # measurement, so the adversary rounds of the replay play his response
+    g = rng(11)
+    state = _write_json(tmp_path, "s.json", ser.encode_density(random_density((2, 2), seed=g)))
+    host = random_host(2, 2, seed=g)
+    for p_adv in (1.0, 0.5):
+        game = _write_json(tmp_path, "game.json", ser.encode_state_game(StateGameSpec(host, p_adv=p_adv)))
+        args = ["--state", state, "--game", game, "--restarts", "8", "--seed", "0"]
+        code, out = _run(capsys, ["state-reward", *args])
+        assert code == 0
+        value = json.loads(out)["value"]
+        code, out = _run(capsys, ["simulate", *args, "--rounds", "200000"])
+        assert code == 0
+        obj = json.loads(out)
+        assert abs(obj["win_rate"] - value) <= 5 * obj["std_err"], (p_adv, obj["win_rate"], value)
+
+
+def test_state_reward_refuses_a_large_alice_with_an_adversary(tmp_path, capsys):
+    state = _write_json(tmp_path, "s.json", ser.encode_density(random_density((6, 1), seed=SEED)))
+    game = _write_json(tmp_path, "game.json", ser.encode_state_game(StateGameSpec(HostMatrix([[1.0]] + [[0.0]] * 5), p_adv=1.0)))
+    code = main(["state-reward", "--state", state, "--game", game, "--restarts", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "|A| <= 5" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_simulate_channel_deterministic_bytes(tmp_path, capsys):

@@ -80,7 +80,7 @@ def test_adversary_coin_interpolates():
     phi = max_entangled(2)
     host = fixed_w_host(1, 2)
     strat = StateStrategy(np.eye(2, dtype=complex), np.zeros(2, dtype=int))
-    adv = Adversary(fourier_matrix(2), ((0,), (1,)))
+    adv = Adversary(fourier_matrix(2), ((0,), (1,)), strat)
     res_off = simulate_state_game(phi, StateGameSpec(host, 0.0), strat, adv, rounds=ROUNDS, seed=SEED)
     assert res_off.win_rate == 1.0
     res_on = simulate_state_game(phi, StateGameSpec(host, 1.0), strat, adv, rounds=ROUNDS, seed=SEED)

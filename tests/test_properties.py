@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from qce import channels as qc
 from qce.channel_games import ChannelGameSpec, _GameEvaluator, degrade
+from qce.classical import HostMatrix, random_host
 from qce.cusc import random_cusc, semicausal_from_parts, teleport_cusc
 from qce.entropy import DMAX, UMEGAKI, cond_entropy_down, divergence, dual_cond_entropy, vn_cond_entropy
 from qce.linalg import (
@@ -32,7 +33,7 @@ from qce.linalg import (
     rng,
 )
 from qce.optim import isometry_from_params, n_iso_params
-from qce.state_games import scramble, set_partitions
+from qce.state_games import _reward_and_answer, scramble
 
 PROPS = settings(max_examples=15, deadline=None)
 sides = st.integers(1, 4)
@@ -85,12 +86,38 @@ def test_apply_stays_a_state(din, dout, db, seed):
     checked(qc.apply(wide, random_density((din, db), seed=g)))
 
 
+def _draw_partition(data, n):
+    """A partition of range(n), drawn as one block label per basis column."""
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return tuple(tuple(i for i in range(n) if labels[i] == b) for b in sorted(set(labels)))
+
+
 @PROPS
 @given(da=st.integers(2, 4), db=sides, seed=seeds, data=st.data())
 def test_scramble_in_a_haar_basis_stays_a_state(da, db, seed, data):
     g = rng(seed)
-    partition = data.draw(st.sampled_from(set_partitions(da)))
+    partition = _draw_partition(data, da)
     checked(scramble(random_density((da, db), seed=g), haar_unitary(da, g), partition))
+
+
+@PROPS
+@given(da=st.integers(2, 4), db=sides, seed=seeds, data=st.data())
+def test_finest_pinching_dominates_every_coarser_one(da, db, seed, data):
+    # pinching by a partition of a basis and then by its singletons is the
+    # singletons' pinching, so Bob's value under it is never higher; this is
+    # why the adversary searches only rank-one dephasings
+    g = rng(seed)
+    state = _state((da, db), g, rank=data.draw(st.integers(1, 16)))
+    n_w = data.draw(st.integers(1, da + 2))
+    t = random_host(n_w, data.draw(st.integers(1, 3)), seed=g).t
+    t[:, 0] *= data.draw(st.sampled_from([1.0, 0.6]))  # a column may pay no prize
+    host = HostMatrix(t)
+    u = haar_unitary(da, g)
+    bases = np.stack([haar_unitary(db, g) for _ in range(4)])
+    finest = tuple((i,) for i in range(da))
+    fine = _reward_and_answer(scramble(state, u, finest), host, bases)[0]
+    coarse = _reward_and_answer(scramble(state, u, _draw_partition(data, da)), host, bases)[0]
+    assert np.all(fine <= coarse + 1e-12)
 
 
 @PROPS

@@ -25,17 +25,17 @@ from qce.linalg import (
     random_pure,
     rng,
 )
-from qce.optim import OptOpts
+from qce.optim import OptOpts, search_unitary
 from qce.state_games import (
     StateGameSpec,
     _reward_and_answer,
+    _structured_adv_bases,
     compare_states,
     reward,
     reward_adv,
     reward_given_bob,
     reward_noadv,
     scramble,
-    set_partitions,
 )
 
 SEED = 20240822
@@ -162,15 +162,50 @@ def test_scramble_rejects_a_bad_basis_or_partition():
             scramble(phi, np.eye(2, dtype=complex), partition)
 
 
-def test_set_partitions_bell_numbers():
-    for n, bell in ((1, 1), (2, 2), (3, 5), (4, 15)):
-        parts = set_partitions(n)
-        assert len(parts) == bell
-        assert parts[0] == (tuple(range(n)),)  # trivial partition first
-        # each partition covers every label exactly once
-        for part in parts:
-            labels = sorted(i for block in part for i in block)
-            assert labels == list(range(n))
+def test_reward_adv_matches_the_partition_enumeration():
+    # one search over rank-one dephasings gives the minimum of the baseline
+    # and one search per non-trivial partition of three labels, since the
+    # finest pinching of a basis dominates every coarser one
+    g = rng(SEED + 21)
+    outer, inner = OptOpts(restarts=2, sweeps=1, seed=1), OptOpts(restarts=2, sweeps=1, seed=2)
+    partitions = (((0, 1), (2,)), ((0, 2), (1,)), ((1, 2), (0,)), ((0,), (1,), (2,)))
+    for db in (2, 3):
+        state = random_density((3, db), seed=g)
+        host = random_host(3, db, seed=g)
+        values = [reward_noadv(state, host, inner).value]
+        for partition in partitions:
+            def bob(us, partition=partition):
+                return np.array([
+                    reward_noadv(scramble(state, u, partition), host, inner,
+                                 extra_bases=(u.conj(),) if db == 3 else ()).value
+                    for u in us
+                ])
+
+            values.append(search_unitary(bob, 3, outer, structured=_structured_adv_bases(state), minimize=True)[1])
+        rep = reward_adv(state, host, outer, inner)
+        assert abs(rep.value - min(values)) <= 1e-12, db
+        assert rep.adversary.partition == ((0,), (1,), (2,))
+        assert rep.restarts_used == len(_structured_adv_bases(state)) + outer.restarts
+        # Bob's reported response to the move scores the reported value
+        scrambled = scramble(state, rep.adversary.basis, rep.adversary.partition)
+        assert abs(reward_given_bob(scrambled, host, rep.adversary.response.bob_basis) - rep.value) <= 1e-12
+
+
+def test_reward_adv_without_a_move_returns_the_baseline():
+    state = random_density((1, 2), seed=SEED + 22)
+    host = random_host(1, 2, seed=SEED + 22)
+    rep = reward_adv(state, host, FAST, OptOpts(restarts=2, sweeps=1))
+    free = reward_noadv(state, host, OptOpts(restarts=2, sweeps=1))
+    assert rep.value == free.value
+    assert rep.restarts_used == 0
+    assert rep.adversary.partition == ((0,),)
+    np.testing.assert_array_equal(rep.adversary.response.bob_basis, free.strategy.bob_basis)
+
+
+def test_reward_adv_bounds_alice_up_front():
+    state = random_density((6, 1), seed=SEED + 23)
+    with pytest.raises(ValueError, match=r"\|A\| <= 5"):
+        reward(state, StateGameSpec(fixed_w_host(1, 1), 1.0), FAST)
 
 
 def test_compare_states_self_consistent():

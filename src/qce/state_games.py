@@ -156,6 +156,7 @@ def reward_adv(
     leaves Bob less; coarser partitions of a basis are dominated by its
     singletons and are not searched.  Bob's inner maximization sees the
     adversary's conjugate basis as a structured candidate when |A| = |B|.
+    The reported ``Adversary.response`` is Bob's best response to the move.
     """
     da, db = bipartite_dims(state)
     opts = opts or OptOpts(restarts=8, sweeps=1)

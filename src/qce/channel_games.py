@@ -7,9 +7,10 @@ so the fixed-strategy value is  sum_x p_x * KyFan_x((N o E (x) id_B) rho_x)
 with x clipped at the output dimension.  A game groups its equal states once;
 one evaluator scores superoperator stacks: a fixed preprocessing, the
 structured candidates (identity, replacements derived from the Choi
-eigenvectors and the computational basis, measure-and-prepare in the
-computational and Fourier bases), the search over Stinespring isometries
-A -> in x env (shared Givens parametrization), and ``mc_sim``'s replays.
+eigenvectors, the computational basis and the top eigenvector of each
+Kraus operator's K+K, measure-and-prepare in the computational and Fourier
+bases), the search over Stinespring isometries A -> in x env (shared Givens
+parametrization), and ``mc_sim``'s replays.
 """
 
 from __future__ import annotations
@@ -118,6 +119,8 @@ def _structured_candidates(n: qc.QuantumChannel, da: int, extra=()):
         cands.append(qc.replacement(pure(ket(k, din), (din,)), in_dim=da))
     for v in _choi_input_candidates(n):
         cands.append(qc.replacement(pure(v, (din,)), in_dim=da))
+    for k in n.kraus:  # the input each Kraus operator passes best: a projective POVM's own basis vectors
+        cands.append(qc.replacement(pure(eigh_desc(k.conj().T @ k)[1][:, 0], (din,)), in_dim=da))
     cands.extend(extra)
     return cands
 
@@ -176,10 +179,10 @@ class _GameEvaluator:
         return total
 
     def __call__(self, vs: np.ndarray) -> np.ndarray:
-        """Game values of a stack of isometries, shape (R, din * env, da) -> (R,)."""
-        blocks = vs.reshape(len(vs), self.din, -1, self.da)
+        """Game values of a stack of isometries, shape (..., din * env, da) -> (...)."""
+        blocks = vs.reshape(-1, self.din, vs.shape[-2] // self.din, self.da)
         se = np.einsum("riea,rjeb->rijab", blocks, blocks.conj()).reshape(-1, self.din ** 2, self.da ** 2)
-        return self.values(se)
+        return self.values(se).reshape(vs.shape[:-2])
 
     def channel(self, v: np.ndarray) -> qc.QuantumChannel:
         ks = tuple(v.reshape(self.din, -1, self.da).transpose(1, 0, 2))
@@ -198,7 +201,11 @@ def channel_reward(
     opts: ChannelOpts | None = None,
     extra_candidates=(),
 ) -> ChannelRewardReport:
-    """Best game value over preprocessing channels: the structured ones as one stack, then the search."""
+    """Best game value over preprocessing channels: the structured ones as one stack, then the search.
+
+    The reported value is clamped at 1, a win probability's bound, after the
+    search; rounding in the Ky-Fan sums can put it one ulp above.
+    """
     opts = opts or ChannelOpts()
     ev = _GameEvaluator(n, game)
     cands = _structured_candidates(n, ev.da, extra_candidates)
@@ -211,7 +218,7 @@ def channel_reward(
     v, val, used = search_isometry(ev, n.din * env, ev.da, opts)
     if val > best_val + 1e-15:
         best_val, best_e = val, ev.channel(v)
-    return ChannelRewardReport(float(best_val), best_e, restarts_used=used)
+    return ChannelRewardReport(min(float(best_val), 1.0), best_e, restarts_used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +376,8 @@ def max_output_purity(n: qc.QuantumChannel, opts: OptOpts | None = None, extra_i
             structured.append(unitary_sending_zero_to(vecs[:, k]))
 
     def objective(us):
-        return np.array([output_purity(n, pure(u[:, 0] / np.linalg.norm(u[:, 0]), (din,))) for u in us])
+        values = [output_purity(n, pure(u[:, 0] / np.linalg.norm(u[:, 0]), (din,))) for u in us.reshape(-1, din, din)]
+        return np.reshape(values, us.shape[:-2])
 
     u, val, used = search_unitary(objective, din, opts, structured=structured)
     best = pure(u[:, 0] / np.linalg.norm(u[:, 0]), (din,))

@@ -11,6 +11,14 @@ projective partition of the same basis never does better, since refining a
 pinching pinches again, which cannot raise any Ky-Fan sum.  Bob learns the
 chosen basis, so his strategy is re-optimized per adversary candidate inside
 the minimization, and the report carries his response to the chosen move.
+
+Bob's search runs on one state or on a stack of states with one evaluator
+(``_reward_and_answer``), and ``reward_noadv`` is its single-state case.
+Each call of the adversary's search objective pinches all of its candidate
+bases as one stack and runs one batched Bob search over the pinched states;
+Bob's basis for the winning move is kept from that search.  Reported win
+probabilities are clamped at 1 after the searches, since rounding in the
+Ky-Fan sums can leave them one ulp above.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from .linalg import (
     _trace_out,
     eigh_desc,
     fourier_matrix,
-    kron,
     rng,
 )
 from .optim import OptOpts, search_unitary
@@ -73,14 +80,28 @@ def bipartite_dims(state: DensityOperator):
     raise ValueError("state must have one or two subsystems")
 
 
-def _conditioned_eigs(state: DensityOperator, basis: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _StateStack:
+    """Bipartite states of one dims as a raw stack, mat (..., dA dB, dA dB).
+
+    The game evaluator reads only ``dims`` and ``mat``, so it scores a stack
+    as it scores one ``DensityOperator``, row by row bitwise.
+    """
+
+    dims: tuple
+    mat: np.ndarray
+
+
+def _conditioned_eigs(state, basis: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of each <b_z| rho |b_z>, clipped at 0; shape (..., dB, dA).
 
-    ``basis`` is one (dB, dB) basis or a stack (..., dB, dB).
+    ``state`` is one state or a ``_StateStack``; the leading axes of its
+    matrix broadcast against those of ``basis``, one (dB, dB) basis or a
+    stack (..., dB, dB).
     """
     da, db = bipartite_dims(state)
-    r4 = state.mat.reshape(da, db, da, db)
-    ops = np.einsum("aicj,...iz,...jz->...zac", r4, basis.conj(), basis)
+    r4 = state.mat.reshape(state.mat.shape[:-2] + (da, db, da, db))
+    ops = np.einsum("...aicj,...iz,...jz->...zac", r4, basis.conj(), basis)
     return np.clip(np.linalg.eigvalsh(ops)[..., ::-1], 0.0, None)
 
 
@@ -89,33 +110,57 @@ def reward_given_bob(state: DensityOperator, host: HostMatrix, bob_basis: np.nda
     return float(value)
 
 
-def _reward_and_answer(state: DensityOperator, host: HostMatrix, bob_basis: np.ndarray):
+def _reward_and_answer(state, host: HostMatrix, bob_basis: np.ndarray):
     """Bob's value and his best answer z' per outcome z, for one basis or a stack of them."""
     scores = _saturated_prefixes(_conditioned_eigs(state, bob_basis), host.n_w) @ host.t  # (..., z, z')
     return scores.max(axis=-1).sum(axis=-1), scores.argmax(axis=-1)
 
 
-def _structured_bob_bases(state: DensityOperator, extra=()):
+def _structured_bob_bases(state, extra=()) -> np.ndarray:
+    """Bob's structured starts per state, (..., S, dB, dB): identity, rho_B's eigenbasis, Fourier, then ``extra``."""
     da, db = bipartite_dims(state)
-    rho_b = _trace_out(state.mat, (da, db), [0])
-    _, vecs = eigh_desc(rho_b)
-    bases = [np.eye(db, dtype=complex), vecs, fourier_matrix(db)]
-    bases.extend(extra)
-    return bases
+    lead = state.mat.shape[:-2]
+    rho_b = np.einsum("...aiaj->...ij", state.mat.reshape(lead + (da, db, da, db)))
+    vecs = np.linalg.eigh(rho_b)[1][..., None, :, ::-1]
+    fixed = lambda m: np.broadcast_to(m, lead + (1, db, db))
+    extra = np.asarray(extra, dtype=complex).reshape(lead + (-1, db, db))
+    return np.concatenate([fixed(np.eye(db, dtype=complex)), vecs, fixed(fourier_matrix(db)), extra], axis=-3)
+
+
+def _bob_search(state, host: HostMatrix, opts: OptOpts, extra=()):
+    """Bob's searched bases and values for one state or a ``_StateStack``, as one lockstep search.
+
+    Each state gets its own structured starts, then the shared random ones;
+    ``extra`` adds starts per state, a sequence of (dB, dB) bases for one
+    state or a stack (..., E, dB, dB) for a stack.  Returns (bases
+    (..., dB, dB), values (...), restarts_used), values unclamped.
+    """
+    per_start = _StateStack(state.dims, state.mat[..., None, :, :])  # each state broadcast over its starts
+    objective = lambda us: _reward_and_answer(per_start, host, us)[0]
+    return search_unitary(objective, bipartite_dims(state)[1], opts, structured=_structured_bob_bases(state, extra))
+
+
+def _bob_strategy(state: DensityOperator, host: HostMatrix, basis: np.ndarray) -> StateStrategy:
+    return StateStrategy(basis, _reward_and_answer(state, host, basis)[1])
 
 
 def reward_noadv(state: DensityOperator, host: HostMatrix, opts: OptOpts | None = None, extra_bases=()) -> RewardReport:
-    """Best reward over Bob's measurement bases (exact when |B| = 1)."""
-    da, db = bipartite_dims(state)
-    if db == 1:
-        basis = np.ones((1, 1), dtype=complex)
-        value, answer = _reward_and_answer(state, host, basis)
-        return RewardReport(float(value), StateStrategy(basis, answer), restarts_used=0)
-    opts = opts or OptOpts()
-    objective = lambda us: _reward_and_answer(state, host, us)[0]
-    u, value, used = search_unitary(objective, db, opts, structured=_structured_bob_bases(state, extra_bases))
-    _, answer = _reward_and_answer(state, host, u)
-    return RewardReport(float(value), StateStrategy(u, answer), restarts_used=used)
+    """Best reward over Bob's measurement bases (exact when |B| = 1), reported no larger than 1."""
+    u, value, used = _bob_search(state, host, opts or OptOpts(), extra_bases)
+    return RewardReport(min(float(value), 1.0), _bob_strategy(state, host, u), restarts_used=used)
+
+
+def _pinch(mat: np.ndarray, dims, bases: np.ndarray, partition) -> np.ndarray:
+    """Project Alice's share of ``mat`` onto the partition blocks of each basis of a stack (..., dA, dA)."""
+    da, db = dims
+    eye_b = np.eye(db, dtype=complex)
+    out = np.zeros(bases.shape[:-2] + mat.shape, dtype=complex)
+    for block in partition:
+        cols = bases[..., :, list(block)]
+        p = cols @ np.swapaxes(cols.conj(), -1, -2)
+        pi = (p[..., :, None, :, None] * eye_b[:, None, :]).reshape(out.shape)  # kron(p, eye_b) per basis
+        out += pi @ mat @ pi
+    return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 
 def scramble(state: DensityOperator, basis: np.ndarray, partition) -> DensityOperator:
@@ -126,14 +171,7 @@ def scramble(state: DensityOperator, basis: np.ndarray, partition) -> DensityOpe
         raise ValueError("scramble basis is not a unitary on Alice's system")
     if sorted(i for block in partition for i in block) != list(range(da)):
         raise ValueError("partition must use each basis column exactly once")
-    out = np.zeros_like(state.mat)
-    eye_b = np.eye(db, dtype=complex)
-    for block in partition:
-        cols = basis[:, list(block)]
-        pi = kron(cols @ cols.conj().T, eye_b)
-        out += pi @ state.mat @ pi
-    out = 0.5 * (out + out.conj().T)
-    return DensityOperator(state.dims, out)
+    return DensityOperator(state.dims, _pinch(state.mat, (da, db), basis, partition))
 
 
 def _structured_adv_bases(state: DensityOperator):
@@ -141,6 +179,20 @@ def _structured_adv_bases(state: DensityOperator):
     rho_a = _trace_out(state.mat, (da, db), [1])
     _, vecs = eigh_desc(rho_a)
     return [np.eye(da, dtype=complex), vecs, vecs @ fourier_matrix(da), fourier_matrix(da)]
+
+
+def _bob_after_pinching(state: DensityOperator, host: HostMatrix, opts: OptOpts, us: np.ndarray):
+    """Bob's searched bases (..., dB, dB) and values (...) after a rank-one pinching of A.
+
+    ``us`` is a stack (..., dA, dA) of the adversary's bases.  All pinched
+    states are scored by one batched Bob search; each gets bitwise what
+    ``reward_noadv`` gives it alone, with the adversary's conjugate basis as
+    an extra structured start when |A| = |B|.
+    """
+    da, db = bipartite_dims(state)
+    scrambled = _StateStack(state.dims, _pinch(state.mat, (da, db), us, tuple((i,) for i in range(da))))
+    bases, values, _ = _bob_search(scrambled, host, opts, us.conj()[..., None, :, :] if da == db else ())
+    return bases, values
 
 
 def reward_adv(
@@ -155,8 +207,10 @@ def reward_adv(
     into singletons) or leaves it alone (the trivial partition), whichever
     leaves Bob less; coarser partitions of a basis are dominated by its
     singletons and are not searched.  Bob's inner maximization sees the
-    adversary's conjugate basis as a structured candidate when |A| = |B|.
-    The reported ``Adversary.response`` is Bob's best response to the move.
+    adversary's conjugate basis as a structured candidate when |A| = |B|,
+    and runs as one batched search per objective call.  The reported
+    ``Adversary.response`` is Bob's best response to the move, his basis
+    from the search that scored it.
     """
     da, db = bipartite_dims(state)
     opts = opts or OptOpts(restarts=8, sweeps=1)
@@ -164,20 +218,24 @@ def reward_adv(
     if da > 5:
         raise ValueError("adversarial reward supports |A| <= 5")
 
-    free = reward_noadv(state, host, inner_opts)
-    trivial = Adversary(np.eye(da, dtype=complex), (tuple(range(da)),), free.strategy)
+    free_u, free_value, _ = _bob_search(state, host, inner_opts)
+    trivial = Adversary(np.eye(da, dtype=complex), (tuple(range(da)),), _bob_strategy(state, host, free_u))
     if da == 1:
-        return RewardReport(free.value, adversary=trivial)
+        return RewardReport(min(float(free_value), 1.0), adversary=trivial)
     finest = tuple((i,) for i in range(da))
+    responses = {}  # Bob's searched basis per scored adversary basis (its bytes)
 
-    def bob(u):
-        return reward_noadv(scramble(state, u, finest), host, inner_opts, extra_bases=(u.conj(),) if da == db else ())
+    def objective(us):
+        bases, values = _bob_after_pinching(state, host, inner_opts, us)
+        for u, basis in zip(us.reshape(-1, da, da), bases.reshape(-1, db, db)):
+            responses[u.tobytes()] = basis
+        return values
 
-    objective = lambda us: np.array([bob(u).value for u in us])
     u, value, used = search_unitary(objective, da, opts, structured=_structured_adv_bases(state), minimize=True)
-    if value < free.value - 1e-15:
-        return RewardReport(float(value), adversary=Adversary(u, finest, bob(u).strategy), restarts_used=used)
-    return RewardReport(free.value, adversary=trivial, restarts_used=used)
+    if value < free_value - 1e-15:
+        response = _bob_strategy(scramble(state, u, finest), host, responses[u.tobytes()])
+        return RewardReport(min(float(value), 1.0), adversary=Adversary(u, finest, response), restarts_used=used)
+    return RewardReport(min(float(free_value), 1.0), adversary=trivial, restarts_used=used)
 
 
 def reward(

@@ -200,6 +200,28 @@ def test_fixed_value_rejects_a_preprocessing_that_does_not_bridge():
             simulate_channel_game(ch, e, game, rounds=10)
 
 
+def test_projective_povm_reaches_one_on_the_zero_game():
+    # request channel.povm.zero of the game_rewards benchmark at seed 1405:
+    # the Choi operator has the eigenvalue 1 twice, so the Choi candidates are
+    # mixed inputs (0.943, 0.939) and the search stalled at 0.98767; the K+K
+    # candidates prepare the POVM's own basis vectors, which it reads exactly
+    u = np.array([
+        [0.02006791029928845 + 0.6817969770576495j, 0.727148971244281 - 0.07748893256236507j],
+        [0.6893325931131362 + 0.24407117224938749j, -0.17769526847949224 + 0.6585394676925069j],
+    ])
+    ch = qc.povm_channel([np.outer(u[:, k], u[:, k].conj()) for k in range(2)])
+    game = zero_game((0.9151435597652894, 0.08485644023471067))
+    rep = channel_reward(ch, game, ChannelOpts(restarts=4, sweeps=1, seed=1842053558))
+    assert abs(rep.value - 1.0) <= 1e-12
+    assert simulate_channel_game(ch, rep.preprocessing, game, rounds=20000, seed=1842053558).wins == 20000
+
+
+def test_channel_reward_is_reported_no_larger_than_one():
+    # the Ky-Fan sums of this search round one ulp above 1
+    rep = channel_reward(qc.dephasing(0.5), zero_game((0.7, 0.3)), ChannelOpts(restarts=4, sweeps=1, seed=2))
+    assert rep.value == 1.0
+
+
 def test_channel_reward_deterministic():
     game = bell_game((0.4, 0.3, 0.2, 0.1))
     for ch, seed in ((qc.depolarizing(0.3), 3), (qc.amplitude_damping(0.5), 5)):

@@ -12,7 +12,7 @@ SEED = 20240830
 
 
 def _overlap(us):
-    return abs(us[:, 0, 0]) ** 2
+    return abs(us[..., 0, 0]) ** 2
 
 
 def _phase(a):
@@ -53,7 +53,7 @@ def test_restarts_used_counts_every_start():
 
 
 def test_single_dimension_scores_the_only_unitary():
-    u, val, used = search_unitary(lambda us: 0.25 * us[:, 0, 0].real, 1, OptOpts(restarts=5))
+    u, val, used = search_unitary(lambda us: 0.25 * us[..., 0, 0].real, 1, OptOpts(restarts=5))
     np.testing.assert_array_equal(u, [[1.0]])
     assert val == 0.25
     assert used == 0
@@ -75,7 +75,7 @@ def test_minimize_returns_the_objective_value():
 
 def test_best_structured_start_wins_and_ties_go_first():
     bare = OptOpts(restarts=0, sweeps=0)
-    imag = lambda us: us[:, 0, 0].imag
+    imag = lambda us: us[..., 0, 0].imag
     # 5e-16 is within the 1e-15 tie band of 0, so the earlier start is kept
     u, val, _ = search_unitary(imag, 2, bare, structured=[_phase(0.0), _phase(5e-16)])
     np.testing.assert_array_equal(u, _phase(0.0))
@@ -87,9 +87,17 @@ def test_best_structured_start_wins_and_ties_go_first():
     assert val == np.sin(0.2)
 
 
+def test_probe_ties_go_to_the_plus_step():
+    # cos is even, so both probes of the first angle and of the first phase
+    # gain the same; +step is accepted first and -step must beat it
+    u, val, _ = search_unitary(lambda us: -us[..., 0, 0].real, 2, OptOpts(restarts=0, sweeps=1), structured=[np.eye(2)])
+    np.testing.assert_allclose(u, isometry_from_params(2, 2, [0.5, 0.0, 0.5, 0.0]), rtol=0, atol=1e-15)
+    assert val == -np.cos(0.5) * np.cos(0.5)
+
+
 def test_seeded_search_is_deterministic():
     target = fourier_matrix(3)[:, :2]
-    fit = lambda vs: -np.linalg.norm(vs - target, axis=(1, 2))
+    fit = lambda vs: -np.linalg.norm(vs - target, axis=(-2, -1))
     runs = [search_isometry(fit, 3, 2, OptOpts(restarts=3, sweeps=2, seed=SEED)) for _ in range(2)]
     np.testing.assert_array_equal(runs[0][0], runs[1][0])
     assert runs[0][1:] == runs[1][1:]
@@ -143,7 +151,7 @@ def test_lockstep_search_matches_per_start_descent(shape, seed, restarts, sweeps
     n, k = shape
     g = rng(seed)
     c = g.normal(size=(n, k)) + 1j * g.normal(size=(n, k))
-    objective = lambda vs: np.array([np.vdot(c, v).real for v in vs])
+    objective = lambda vs: np.array([np.vdot(c, v).real for v in vs.reshape(-1, n, k)]).reshape(vs.shape[:-2])
     opts = OptOpts(restarts=restarts, sweeps=sweeps, seed=seed, step=step)
     structured = None
     if k == n and n_structured:
@@ -156,3 +164,63 @@ def test_lockstep_search_matches_per_start_descent(shape, seed, restarts, sweeps
     assert got[0].tobytes() == want[0].tobytes()
     assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
     assert got[2] == want[2]
+
+
+def test_search_scores_both_probes_of_a_coordinate_as_one_call():
+    shapes = []
+
+    def objective(vs):
+        shapes.append(vs.shape)
+        return _overlap(vs)
+
+    for n, k, sweeps in ((3, 2, 2), (2, 2, 1), (4, 1, 3), (3, 3, 0)):
+        shapes.clear()
+        search_isometry(objective, n, k, OptOpts(restarts=3, sweeps=sweeps, seed=SEED))
+        assert len(shapes) == 1 + n_iso_params(n, k) * sweeps
+        assert shapes[0] == (4, n, k)
+        assert all(s == (2, 4, n, k) for s in shapes[1:])
+    # a batch of problems: the starts follow the batch axes, the probe axis leads them
+    shapes.clear()
+    batch = np.broadcast_to(fourier_matrix(3), (2, 5, 2, 3, 3))
+    u, val, used = search_unitary(objective, 3, OptOpts(restarts=3, sweeps=1, seed=SEED), structured=batch)
+    assert (u.shape, val.shape, used) == ((2, 5, 3, 3), (2, 5), 5)
+    assert len(shapes) == 1 + n_iso_params(3, 3)
+    assert shapes[0] == (2, 5, 5, 3, 3)
+    assert all(s == (2, 2, 5, 5, 3, 3) for s in shapes[1:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 1), (2, 2), (3, 2), (3, 3)]),
+    batch=st.sampled_from([(1,), (3,), (2, 2)]),
+    seed=st.integers(0, 2**31 - 1),
+    restarts=st.integers(0, 2),
+    sweeps=st.integers(0, 2),
+    n_structured=st.integers(0, 2),
+    minimize=st.booleans(),
+)
+def test_batched_search_matches_one_search_per_problem(shape, batch, seed, restarts, sweeps, n_structured, minimize):
+    n, k = shape
+    if n_structured == 0 and restarts == 0:
+        restarts = 1
+    g = rng(seed)
+    c = g.normal(size=batch + (n, k)) + 1j * g.normal(size=batch + (n, k))
+    structured = np.array([haar_unitary(n, seed=g) for _ in range(int(np.prod(batch)) * n_structured)])
+    structured = structured.reshape(batch + (n_structured, n, n))
+    if n_structured == 2:
+        structured[..., 1, :, :] = structured[..., 0, :, :]  # a repeated start ties and goes first
+
+    def objective_for(cs):
+        def objective(vs):
+            rows = zip(np.broadcast_to(cs[..., None, :, :], vs.shape).reshape(-1, n, k), vs.reshape(-1, n, k))
+            return np.array([np.vdot(ci, v).real for ci, v in rows]).reshape(vs.shape[:-2])
+        return objective
+
+    opts = OptOpts(restarts=restarts, sweeps=sweeps, seed=seed)
+    got = search_isometry(objective_for(c), n, k, opts, structured, minimize)
+    assert got[0].shape == batch + (n, k) and got[1].shape == batch
+    for i in np.ndindex(*batch):
+        want = search_isometry(objective_for(c[i]), n, k, opts, list(structured[i]), minimize)
+        assert got[0][i].tobytes() == want[0].tobytes()
+        assert got[1][i].tobytes() == np.float64(want[1]).tobytes()
+        assert got[2] == want[2]

@@ -28,6 +28,7 @@ from qce.linalg import (
 from qce.optim import OptOpts, search_unitary
 from qce.state_games import (
     StateGameSpec,
+    _bob_after_pinching,
     _reward_and_answer,
     _structured_adv_bases,
     compare_states,
@@ -178,8 +179,8 @@ def test_reward_adv_matches_the_partition_enumeration():
                 return np.array([
                     reward_noadv(scramble(state, u, partition), host, inner,
                                  extra_bases=(u.conj(),) if db == 3 else ()).value
-                    for u in us
-                ])
+                    for u in us.reshape(-1, 3, 3)
+                ]).reshape(us.shape[:-2])
 
             values.append(search_unitary(bob, 3, outer, structured=_structured_adv_bases(state), minimize=True)[1])
         rep = reward_adv(state, host, outer, inner)
@@ -189,6 +190,52 @@ def test_reward_adv_matches_the_partition_enumeration():
         # Bob's reported response to the move scores the reported value
         scrambled = scramble(state, rep.adversary.basis, rep.adversary.partition)
         assert abs(reward_given_bob(scrambled, host, rep.adversary.response.bob_basis) - rep.value) <= 1e-12
+
+
+def test_batched_adversary_objective_matches_per_row_reward_noadv():
+    # the outer objective scores every pinched state with one batched Bob
+    # search; each row must be bitwise what reward_noadv gives it alone, and
+    # reward_adv bitwise what a search over that per-row comprehension gives
+    g = rng(SEED + 24)
+    outer, inner = OptOpts(restarts=2, sweeps=1, seed=3), OptOpts(restarts=2, sweeps=1, seed=4)
+    for dims in ((2, 2), (3, 3), (2, 3), (3, 2)):
+        da, db = dims
+        state = random_density(dims, seed=g)
+        host = random_host(da, db, seed=g)
+        finest = tuple((i,) for i in range(da))
+
+        def bob(u):
+            return reward_noadv(scramble(state, u, finest), host, inner, extra_bases=(u.conj(),) if da == db else ())
+
+        us = np.stack([haar_unitary(da, seed=g) for _ in range(6)]).reshape(2, 3, da, da)
+        bases, values = _bob_after_pinching(state, host, inner, us)
+        assert bases.shape == (2, 3, db, db) and values.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            rep = bob(us[i])
+            assert np.float64(rep.value).tobytes() == values[i].tobytes()
+            assert rep.strategy.bob_basis.tobytes() == bases[i].tobytes()
+
+        comprehension = lambda us: np.array([bob(u).value for u in us.reshape(-1, da, da)]).reshape(us.shape[:-2])
+        u, value, used = search_unitary(comprehension, da, outer, structured=_structured_adv_bases(state), minimize=True)
+        rep = reward_adv(state, host, outer, inner)
+        assert rep.restarts_used == used
+        if rep.adversary.partition == finest:
+            assert np.float64(rep.value).tobytes() == np.float64(value).tobytes()
+            assert rep.adversary.basis.tobytes() == u.tobytes()
+            response = bob(u).strategy
+            assert rep.adversary.response.bob_basis.tobytes() == response.bob_basis.tobytes()
+            np.testing.assert_array_equal(rep.adversary.response.answer, response.answer)
+        else:
+            assert value >= reward_noadv(state, host, inner).value - 1e-15
+
+
+def test_win_probabilities_are_reported_no_larger_than_one():
+    # Ky-Fan sums of the 3x3 maximally entangled state round one ulp above 1
+    phi = max_entangled(3)
+    host = fixed_w_host(1, 3)
+    assert reward_noadv(phi, host).value == 1.0
+    assert reward_adv(phi, host).value == 1.0
+    assert reward(phi, StateGameSpec(host, 0.5)).value == 1.0
 
 
 def test_reward_adv_without_a_move_returns_the_baseline():

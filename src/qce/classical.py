@@ -5,22 +5,21 @@ is Alice's symbol, column index Bob's.  The central decision procedure asks
 whether a source pair (P) can be steered into a target pair (Q) by a
 correlated redistribution: a row-stochastic host response T = (t_yw) and
 doubly stochastic blocks D_(y,w) with  q_w = sum_y t_yw D_(y,w) p_y.
-Feasibility is decided by a linear program over the products Z = t * D, with
-both joints zero-padded to m rows.  Its nonnegative variables are Z[y, w, r, c]
-then t[y, w], each row-major; its equality rows are, in order: per block (y, w),
-the m row sums and then the m column sums of Z[y, w], each equal to t[y, w];
-per y, sum_w t[y, w] = 1; per (w, r), sum_(y, c) Z[y, w, r, c] p[c, y] = q[r, w].
 
-An infeasible pair is separated by the game that Q wins by the most.  Q may
-take its best answer for each of its own Bob symbols as its own host column,
-so the largest gap over all hosts is the optimum of one more LP, the dual of
-the first.  With pref_y the prefix sums of the descending column y of a
-joint, its nonnegative variables are the host t[w, z'] (m x n') then s[y],
-row-major; it maximises sum_z' prefQ_z' . t[:, z'] - sum_y s[y], and its
-inequality rows are, in order: per (y, z'), prefP_y . t[:, z'] - s[y] <= 0;
-per z', sum_w t[w, z'] <= 1.  Its optimum is half the least L1 distance from
-Q to the targets reachable from P.  It separates every infeasible pair only
-because a host column may sum to less than 1.
+One LP decides it, on both joints zero-padded to m rows, with pref_y the
+prefix sums of the descending column y of a joint.  Its nonnegative variables
+are the host t[w, z'] (m x n') then s[y], row-major; it maximises
+sum_z' prefQ_z' . t[:, z'] - sum_y s[y], and its inequality rows are, in
+order: per (y, z'), prefP_y . t[:, z'] - s[y] <= 0; per z', sum_w t[w, z'] <= 1.
+Its primal is the game that Q wins by the most: the optimum is half the least
+L1 distance from Q to what P reaches, and it separates every infeasible pair
+only because a host column may sum to less than 1.  At optimum 0 the duals of
+the (y, z') rows give a response t[y, w] with prefQ_w <= sum_y t_yw prefP_y,
+which suffices by Rado's theorem (a Minkowski sum of permutohedra is the
+permutohedron of the summed sorted vectors).  The blocks are then
+D_(y,w) = Pi_qw^T B_w Pi_py, with Pi sorting a column descending and B_w at
+most m - 1 T-transforms taking r_w = sum_y t_yw Pi_py p_y to Pi_qw q_w
+(Marshall, Olkin and Arnold, *Inequalities: Theory of Majorization*, 2.B.1).
 """
 
 from __future__ import annotations
@@ -29,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_array
 
 from .linalg import ATOL, DensityOperator, random_doubly_stochastic, rng
 
 LP_ATOL = 1e-7
 GAME_GAP = 1e-6
+TIE = 1e-12
 
 
 class LpSolverError(RuntimeError):
@@ -150,62 +149,53 @@ class MajorizationVerdict:
     witness_host: HostMatrix | None
 
 
-def _lp_system(pm: np.ndarray, qm: np.ndarray):
-    """Sparse ``A_eq`` and ``b_eq`` of the majorization LP, in the row layout of the module docstring."""
-    m, n = pm.shape
-    n_prime = qm.shape[1]
-    n_blocks = n * n_prime
-    n_z = n_blocks * m * m
-    z = np.arange(n_z).reshape(n, n_prime, m, m)   # variable index of Z[y, w, r, c]
-    r = np.arange(m)
-    n_block_rows = 2 * m * n_blocks
-    block_start = 2 * m * np.arange(n_blocks).reshape(n, n_prime, 1, 1)
-    target_row = n_block_rows + n + (np.arange(n_prime)[:, None] * m + r)[:, :, None]  # row of (w, r)
-
-    def full(a):
-        return np.broadcast_to(a, z.shape).ravel()
-
-    block_rows = np.arange(n_block_rows)
-    rows = np.concatenate([
-        full(block_start + r[:, None]),           # row sums of block (y, w), indexed by r
-        full(block_start + m + r),                # its column sums, indexed by c
-        block_rows,                               # -t_yw in each of those 2m rows
-        n_block_rows + np.arange(n_blocks) // n_prime,
-        full(target_row),
-    ])
-    cols = np.concatenate([z.ravel(), z.ravel(), n_z + block_rows // (2 * m), n_z + np.arange(n_blocks), z.ravel()])
-    vals = np.concatenate([np.ones(2 * n_z), -np.ones(n_block_rows), np.ones(n_blocks), full(pm.T[:, None, None, :])])
-    keep = vals != 0.0                            # zero-padded rows of P store no entries
-    shape = (n_block_rows + n + n_prime * m, n_z + n_blocks)
-    a_eq = coo_array((vals[keep], (rows[keep], cols[keep])), shape=shape)
-    b_eq = np.concatenate([np.zeros(n_block_rows), np.ones(n), qm.T.ravel()])
-    return a_eq, b_eq
+def _descending(pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable descending order of each column of pm, and the sorted columns, both (m, n)."""
+    order = np.argsort(-pm, axis=0, kind="stable")
+    return order, np.take_along_axis(pm, order, axis=0)
 
 
-def _witness_lp(pm: np.ndarray, qm: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest game gap of Q over P and its host t (m x n'), from the LP of the module docstring."""
-    m, n = pm.shape
-    n_prime = qm.shape[1]
-    pref_p, pref_q = (np.cumsum(np.sort(j.T, axis=1)[:, ::-1], axis=1) for j in (pm, qm))
+def _witness_lp(desc_p: np.ndarray, desc_q: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The LP of the module docstring on sorted columns: its gap, host t (m x n') and dual response (n x n')."""
+    m, n = desc_p.shape
+    n_prime = desc_q.shape[1]
+    pref_p, pref_q = np.cumsum(desc_p, axis=0).T, np.cumsum(desc_q, axis=0).T
     n_t = m * n_prime
-    t_var = np.arange(n_t).reshape(m, n_prime)               # variable index of t[w, z']
-    epi_row = np.arange(n * n_prime).reshape(n, n_prime)      # row of (y, z')
-    shape = (n, m, n_prime)
-    rows = np.concatenate([
-        np.broadcast_to(epi_row[:, None, :], shape).ravel(),  # prefP_y . t[:, z']
-        epi_row.ravel(),                                      # - s[y]
-        n * n_prime + t_var.ravel() % n_prime,                # column sums of t
-    ])
-    cols = np.concatenate([np.broadcast_to(t_var, shape).ravel(), n_t + epi_row.ravel() // n_prime, t_var.ravel()])
-    vals = np.concatenate([np.broadcast_to(pref_p[:, :, None], shape).ravel(), -np.ones(n * n_prime), np.ones(n_t)])
-    a_ub = coo_array((vals, (rows, cols)), shape=(n * n_prime + n_prime, n_t + n))
+    a_ub = np.zeros((n * n_prime + n_prime, n_t + n))
+    a_ub[: n * n_prime, :n_t] = (pref_p[:, None, :, None] * np.eye(n_prime)[None, :, None, :]).reshape(n * n_prime, n_t)
+    a_ub[: n * n_prime, n_t:] = -np.repeat(np.eye(n), n_prime, axis=0)
+    a_ub[n * n_prime:, :n_t] = np.tile(np.eye(n_prime), m)
     b_ub = np.concatenate([np.zeros(n * n_prime), np.ones(n_prime)])
     c = np.concatenate([-pref_q.T.ravel(), np.ones(n)])
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
     if res.status != 0:
-        raise LpSolverError(f"witness LP failed with status {res.status}: {res.message}")
+        raise LpSolverError(f"LP backend failed with status {res.status}: {res.message}")
     t = np.clip(res.x[:n_t].reshape(m, n_prime), 0.0, None)
-    return -float(res.fun), t / np.maximum(t.sum(axis=0), 1.0)
+    response = -res.ineqlin.marginals[: n * n_prime].reshape(n, n_prime)
+    return -float(res.fun), t / np.maximum(t.sum(axis=0), 1.0), response
+
+
+def _t_transforms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Doubly stochastic B with B x = y, for descending x majorizing descending y (MOA 2.B.1).
+
+    Each step moves mass from the last x_j > y_j before the first x_k < y_k
+    to x_k, until one of them meets its target; differences up to ``TIE``
+    count as equal, so rounding neither starts a step nor blocks one.
+    """
+    x = x.copy()
+    b = np.eye(x.size)
+    while True:
+        d = x - y
+        after_gain = (d < -TIE) & (np.cumsum(d > TIE) > 0)
+        if not after_gain.any():
+            return b
+        k = int(np.argmax(after_gain))
+        j = int(np.flatnonzero(d[:k] > TIE)[-1])
+        delta = min(d[j], -d[k])
+        a = delta / (x[j] - x[k])   # at most 1/2, as y is descending
+        b[[j, k]] = (1.0 - a) * b[[j, k]] + a * b[[k, j]]
+        x[j] -= delta
+        x[k] += delta
 
 
 def _rebuild_target(t: np.ndarray, ds: np.ndarray, pm: np.ndarray) -> np.ndarray:
@@ -222,30 +212,31 @@ def cond_majorizes_classical(
 ) -> MajorizationVerdict:
     """Decide whether Q is reachable from P by a host-correlated redistribution.
 
-    A feasible verdict carries the LP's certificate.  An infeasible one
-    carries the host of the game that Q wins by the most, found by the
-    witness LP of the module docstring; its columns may sum to less than 1.
-    The host is ``None`` only when that game's gap is at most ``GAME_GAP``.
-    ``seed`` is accepted for existing callers and unused: the decision and
-    the witness draw no random numbers.
+    The pair is infeasible when the LP's game gap exceeds ``GAME_GAP``; the
+    verdict carries that game's host, or ``None`` if it fails to beat P by
+    ``GAME_GAP`` when scored again.  A feasible verdict carries t from the
+    duals (clipped, rows normalised, uniform where P's column has no mass)
+    and T-transform blocks.  ``tol`` bounds their residual, above which
+    ``LpSolverError`` is raised, and never changes the verdict.  ``seed`` is
+    accepted for existing callers and unused: nothing is drawn.
     """
     m, n, n_prime = max(p.m, q.m), p.n, q.n
     pm, qm = (np.pad(j.p, ((0, m - j.m), (0, 0))) for j in (p, q))
-    a_eq, b_eq = _lp_system(pm, qm)
-    lp = dict(c=np.zeros(a_eq.shape[1]), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None))
-    res = linprog(**lp, method="highs")
-    if res.status == 4:  # dual simplex can fail numerically on nearly feasible pairs; interior point decides them
-        res = linprog(**lp, method="highs-ipm")
-    if res.status == 2:
-        _, t = _witness_lp(pm, qm)
-        separates = _game_values(q, t) > _game_values(p, t) + GAME_GAP   # scored by the one evaluator
-        return MajorizationVerdict(False, None, HostMatrix(t) if separates else None)
-    if res.status != 0:
-        raise LpSolverError(f"LP backend failed with status {res.status}: {res.message}")
+    (order_p, desc_p), (order_q, desc_q) = _descending(pm), _descending(qm)
+    gap, host, response = _witness_lp(desc_p, desc_q)
+    if gap > GAME_GAP:
+        separates = _game_values(q, host) > _game_values(p, host) + GAME_GAP   # scored by the one evaluator
+        return MajorizationVerdict(False, None, HostMatrix(host) if separates else None)
 
-    n_z = n * n_prime * m * m
-    z, t = res.x[:n_z].reshape(n, n_prime, m, m), res.x[n_z:].reshape(n, n_prime)
-    ds = np.divide(z, t[..., None, None], out=np.full(z.shape, 1.0 / m), where=t[..., None, None] > 1e-12)
+    t = np.clip(response, 0.0, None)
+    row = t.sum(axis=1, keepdims=True)
+    live = (pm.sum(axis=0)[:, None] > 0.0) & (row > TIE)
+    t = np.divide(t, row, out=np.full(t.shape, 1.0 / n_prime), where=live)
+    reached = desc_p @ t   # column w is r_w
+    bs = np.stack([_t_transforms(reached[:, w], desc_q[:, w]) for w in range(n_prime)])
+    ds = np.empty((n, n_prime, m, m))   # D_(y,w)[order_q[a, w], order_p[b, y]] = B_w[a, b]
+    y_idx, w_idx = np.arange(n)[:, None, None, None], np.arange(n_prime)[:, None, None]
+    ds[y_idx, w_idx, order_q.T[:, :, None], order_p.T[:, None, None, :]] = bs
     residual = float(np.abs(_rebuild_target(t, ds, pm) - qm).max())
     residual = max(residual, float(np.abs(t.sum(axis=1) - 1.0).max()))
     if residual > tol:

@@ -65,9 +65,10 @@ def _play_rounds(g, table: np.ndarray, answer: np.ndarray, t: np.ndarray, n: int
     y = flat % da  # 0-based rank
     zp = np.asarray(answer)[z]
     w = np.empty(n, dtype=int)
-    for col in np.unique(zp):
+    for col in np.unique(answer):   # ascending: the seeded prize draws depend on this order
         mask = zp == col
-        w[mask] = _sample_prize(g, t[:, col], int(mask.sum()))
+        if mask.any():
+            w[mask] = _sample_prize(g, t[:, col], int(mask.sum()))
     return int((y <= w).sum())
 
 
@@ -113,9 +114,9 @@ def simulate_channel_game(
     ps = np.array([p for p, _ in game.entries])
     xs = _sample_categorical(g, ps, rounds)
     wins = 0
-    for x in np.unique(xs):
+    for x in range(len(ps)):
         mask = xs == x
-        lam = spectra[game.state_index[x]]
-        y = _sample_categorical(g, lam, int(mask.sum()))
-        wins += int((y <= x).sum())  # rank y+1 within top x+1
+        if mask.any():
+            y = _sample_categorical(g, spectra[game.state_index[x]], int(mask.sum()))
+            wins += int((y <= x).sum())  # rank y+1 within top x+1
     return _result(wins, rounds, seed)

@@ -1,16 +1,23 @@
-"""Classical joints, host games, and the conditional-majorization LP."""
+"""Classical joints, host games, and the conditional-majorization LP.
+
+The product-space LP that decided the ordering before the one-LP decision
+(``_lp_system``) is kept here as the reference for the verdicts.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
+from qce import classical
 from qce.classical import (
     GAME_GAP,
     ClassicalJoint,
     HostMatrix,
-    _lp_system,
+    _descending,
+    _t_transforms,
     _witness_lp,
     apply_cds_classical,
     cond_majorizes_classical,
@@ -161,8 +168,62 @@ def test_uniform_cannot_reach_correlated():
     assert prob_t(q, verdict.witness_host) > prob_t(p, verdict.witness_host) + 1e-6
 
 
+def _lp_system(pm, qm):
+    """Sparse ``A_eq`` and ``b_eq`` of the product-space majorization LP.
+
+    Its nonnegative variables are Z[y, w, r, c] = t_yw D_(y,w)[r, c] then
+    t[y, w], each row-major; its equality rows are, in order: per block
+    (y, w), the m row sums and then the m column sums of Z[y, w], each equal
+    to t[y, w]; per y, sum_w t[y, w] = 1; per (w, r),
+    sum_(y, c) Z[y, w, r, c] p[c, y] = q[r, w].
+    """
+    m, n = pm.shape
+    n_prime = qm.shape[1]
+    n_blocks = n * n_prime
+    n_z = n_blocks * m * m
+    z = np.arange(n_z).reshape(n, n_prime, m, m)   # variable index of Z[y, w, r, c]
+    r = np.arange(m)
+    n_block_rows = 2 * m * n_blocks
+    block_start = 2 * m * np.arange(n_blocks).reshape(n, n_prime, 1, 1)
+    target_row = n_block_rows + n + (np.arange(n_prime)[:, None] * m + r)[:, :, None]  # row of (w, r)
+
+    def full(a):
+        return np.broadcast_to(a, z.shape).ravel()
+
+    block_rows = np.arange(n_block_rows)
+    rows = np.concatenate([
+        full(block_start + r[:, None]),           # row sums of block (y, w), indexed by r
+        full(block_start + m + r),                # its column sums, indexed by c
+        block_rows,                               # -t_yw in each of those 2m rows
+        n_block_rows + np.arange(n_blocks) // n_prime,
+        full(target_row),
+    ])
+    cols = np.concatenate([z.ravel(), z.ravel(), n_z + block_rows // (2 * m), n_z + np.arange(n_blocks), z.ravel()])
+    vals = np.concatenate([np.ones(2 * n_z), -np.ones(n_block_rows), np.ones(n_blocks), full(pm.T[:, None, None, :])])
+    keep = vals != 0.0                            # zero-padded rows of P store no entries
+    shape = (n_block_rows + n + n_prime * m, n_z + n_blocks)
+    a_eq = coo_array((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    b_eq = np.concatenate([np.zeros(n_block_rows), np.ones(n), qm.T.ravel()])
+    return a_eq, b_eq
+
+
+def _product_lp_feasible(pm, qm):
+    """Verdict of the product-space LP: HiGHS status 0 (feasible) or 2 (infeasible).
+
+    Dual simplex can stop with status 4 on a nearly feasible pair; interior
+    point then decides it, as the product-space decision did.
+    """
+    a_eq, b_eq = _lp_system(pm, qm)
+    lp = dict(c=np.zeros(a_eq.shape[1]), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None))
+    res = linprog(**lp, method="highs")
+    if res.status == 4:
+        res = linprog(**lp, method="highs-ipm")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
 def _loop_lp_system(pm, qm):
-    """Row-by-row build of the majorization LP: the reference for ``_lp_system``."""
+    """Row-by-row build of the product-space LP: the reference for ``_lp_system``."""
     m, n = pm.shape
     n_prime = qm.shape[1]
     n_z = n * n_prime * m * m
@@ -223,9 +284,10 @@ def _loop_game_value(p, t):
 
 
 def test_simplex_failure_pair_is_decided():
-    # HiGHS dual simplex stops with status 4 on this 5x4 pair (P then Q, each
+    # HiGHS dual simplex stopped with status 4 on this 5x4 pair in the
+    # product-space LP (P then Q, each
     # default_rng([66, 89]).dirichlet(ones(20)).reshape(5, 4)); the pair is
-    # infeasible, so the interior-point retry must return that verdict.
+    # infeasible, and the one-LP decision needs no retry to say so.
     p = ClassicalJoint(np.array([
         [0.012303146811670681, 0.0002563985625277801, 0.002943246070558267, 0.07898946486682236],
         [0.024430755343095828, 0.00024143266756449297, 0.06725318908432709, 0.024275271942430975],
@@ -279,6 +341,10 @@ def _padded(p, q):
     return tuple(np.pad(j.p, ((0, m - j.m), (0, 0))) for j in (p, q))
 
 
+def _largest_gap(pm, qm):
+    return _witness_lp(_descending(pm)[1], _descending(qm)[1])[0]
+
+
 def _least_l1_infeasibility(pm, qm):
     """min ||q - reached target||_1 over the majorization LP, with slack on its target rows only."""
     a_eq, b_eq = _lp_system(pm, qm)
@@ -296,7 +362,7 @@ def _least_l1_infeasibility(pm, qm):
 def test_feasible_exactly_when_no_game_prefers_q(mp, n, mq, n_prime, seed, made):
     p, q = _pair(mp, n, mq, n_prime, seed, made)
     verdict = cond_majorizes_classical(p, q)
-    gap, _ = _witness_lp(*_padded(p, q))
+    gap = _largest_gap(*_padded(p, q))
     assert verdict.feasible == (gap <= GAME_GAP)
     assert verdict.feasible or not made
     if verdict.feasible:
@@ -312,8 +378,141 @@ def test_feasible_exactly_when_no_game_prefers_q(mp, n, mq, n_prime, seed, made)
 def test_largest_game_gap_is_half_the_least_l1_infeasibility(mp, n, mq, n_prime, seed, made):
     p, q = _pair(mp, n, mq, n_prime, seed, made)
     pm, qm = _padded(p, q)
-    gap, _ = _witness_lp(pm, qm)
+    gap = _largest_gap(pm, qm)
     assert abs(gap - 0.5 * _least_l1_infeasibility(pm, qm)) < 1e-9
+
+
+def _assert_certificate(p, q, cert):
+    """t row-stochastic, blocks doubly stochastic, and sum_y t_yw D_(y,w) p_y rebuilds Q within 1e-7."""
+    pm, qm = _padded(p, q)
+    t, ds = cert.t, cert.ds
+    assert t.min() >= 0.0 and ds.min() >= 0.0
+    np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-7)
+    np.testing.assert_allclose(ds.sum(axis=2), 1.0, atol=1e-7)
+    np.testing.assert_allclose(ds.sum(axis=3), 1.0, atol=1e-7)
+    np.testing.assert_allclose(np.einsum("yw,ywrc,cy->rw", t, ds, pm), qm, atol=1e-7, rtol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mp=st.integers(1, 5), n=st.integers(1, 5), mq=st.integers(1, 5), n_prime=st.integers(1, 5),
+       seed=seeds, made=st.booleans())
+def test_one_lp_verdict_matches_the_product_space_lp(mp, n, mq, n_prime, seed, made):
+    p, q = _pair(mp, n, mq, n_prime, seed, made)
+    verdict = cond_majorizes_classical(p, q)
+    assert verdict.feasible == _product_lp_feasible(*_padded(p, q))
+    if verdict.feasible:
+        _assert_certificate(p, q, verdict.certificate)
+
+
+def _assert_transfers(x, y, b):
+    assert b.min() >= 0.0 and b.max() <= 1.0
+    np.testing.assert_allclose(b.sum(axis=0), 1.0, atol=1e-14)
+    np.testing.assert_allclose(b.sum(axis=1), 1.0, atol=1e-14)
+    np.testing.assert_allclose(b @ x, y, atol=1e-12, rtol=0.0)
+
+
+def test_t_transforms_of_equal_vectors_are_the_identity():
+    for x in (np.array([1.0]), np.array([0.5, 0.3, 0.2]), np.array([0.4, 0.4, 0.1, 0.1, 0.0])):
+        np.testing.assert_array_equal(_t_transforms(x, x.copy()), np.eye(x.size))
+
+
+def test_t_transforms_take_x_to_every_vector_it_majorizes():
+    g = rng(SEED + 11)
+    for m in range(1, 7):
+        for _ in range(10):
+            x = np.sort(g.dirichlet(np.ones(m)))[::-1]
+            y = np.sort(random_doubly_stochastic(m, g) @ x)[::-1]
+            _assert_transfers(x, y, _t_transforms(x, y))
+
+
+def test_t_transforms_with_ties():
+    x = np.array([0.3, 0.3, 0.2, 0.2])
+    for y in (np.array([0.25, 0.25, 0.25, 0.25]), np.array([0.3, 0.25, 0.25, 0.2]), x.copy()):
+        _assert_transfers(x, y, _t_transforms(x, y))
+
+
+def test_t_transforms_ignore_rounding_in_the_prefix_sums():
+    # prefix sums of x - y touch zero with -1e-15 slack; a step must neither
+    # start from the rounding nor stop at it
+    cases = (
+        (np.array([0.5, 0.3, 0.2]), np.array([0.5 + 1e-15, 0.3 - 1e-15, 0.2])),
+        (np.array([0.6, 0.2, 0.2]), np.array([0.5, 0.3, 0.2 - 1e-15])),
+        (np.array([0.4, 0.4, 0.2]), np.array([0.4 + 1e-15, 0.3, 0.3 - 1e-15])),
+        # r_w and q_w of a random 5-row pair: x - y ends in +1.3e-15, after the last real loss
+        (np.array([0.11503990353883875, 0.03092567637631076, 0.01403195445779655, 0.0123436435957772, 0.00778095540812407]),
+         np.array([0.11213360018246274, 0.03383197973268456, 0.01340778043397046, 0.01296781761960376, 0.00778095540812281])),
+        (np.array([0.6, 0.2, 0.2]), np.array([0.5, 0.3, 0.2 - 3e-15])),
+    )
+    for x, y in cases:
+        _assert_transfers(x, y, _t_transforms(x, y))
+
+
+def test_certificate_with_ties_in_both_joints():
+    p = ClassicalJoint(np.array([[0.2, 0.1], [0.2, 0.1], [0.1, 0.3]]))
+    q = apply_cds_classical(p, [np.eye(3), np.full((3, 3), 1.0 / 3)], [0.5 * np.eye(2), 0.5 * np.eye(2)])
+    verdict = cond_majorizes_classical(p, q)
+    assert verdict.feasible
+    _assert_certificate(p, q, verdict.certificate)
+
+
+def test_certificate_with_a_zero_column_of_p():
+    p = ClassicalJoint(np.array([[0.6, 0.0, 0.1], [0.3, 0.0, 0.0]]))
+    q = ClassicalJoint(np.array([[0.3, 0.2], [0.3, 0.2]]))
+    verdict = cond_majorizes_classical(p, q)
+    assert verdict.feasible
+    np.testing.assert_array_equal(verdict.certificate.t[1], [0.5, 0.5])   # no mass, uniform response
+    _assert_certificate(p, q, verdict.certificate)
+
+
+def test_certificate_with_one_row():
+    p = ClassicalJoint(np.array([[0.3, 0.7]]))
+    for q in (ClassicalJoint(np.array([[1.0]])), ClassicalJoint(np.array([[0.1, 0.6, 0.3]]))):
+        verdict = cond_majorizes_classical(p, q)
+        assert verdict.feasible
+        assert verdict.certificate.ds.shape == (2, q.n, 1, 1)
+        _assert_certificate(p, q, verdict.certificate)
+
+
+def test_certificate_with_zero_padding():
+    g = rng(SEED + 12)
+    for mp, mq in ((2, 4), (1, 3), (3, 5)):
+        p = random_joint(mp, 3, seed=g)
+        padded = ClassicalJoint(np.pad(p.p, ((0, mq - mp), (0, 0))))
+        es = [random_doubly_stochastic(mq, g) for _ in range(2)]
+        rs = [0.5 * g.dirichlet(np.ones(2), size=3) for _ in range(2)]
+        q = apply_cds_classical(padded, es, rs)
+        verdict = cond_majorizes_classical(p, q)
+        assert verdict.feasible, (mp, mq)
+        assert verdict.certificate.ds.shape == (3, 2, mq, mq)
+        _assert_certificate(p, q, verdict.certificate)
+        assert cond_majorizes_classical(q, p).feasible == _product_lp_feasible(*_padded(q, p))
+
+
+def test_one_lp_call_per_pair(monkeypatch):
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(classical, "linprog", counting_linprog)
+    corr = ClassicalJoint(np.array([[0.5, 0.0], [0.0, 0.5]]))
+    unif = ClassicalJoint(np.full((2, 2), 0.25))
+    for p, q, feasible in ((corr, unif, True), (unif, corr, False)):
+        calls.clear()
+        assert cond_majorizes_classical(p, q).feasible == feasible
+        assert calls == ["highs"]
+
+
+def test_tol_bounds_the_residual_and_never_the_verdict():
+    corr = ClassicalJoint(np.array([[0.5, 0.0], [0.0, 0.5]]))
+    unif = ClassicalJoint(np.full((2, 2), 0.25))
+    for tol in (1e-7, 1.0):
+        verdict = cond_majorizes_classical(unif, corr, tol=tol)
+        assert not verdict.feasible and verdict.witness_host is not None
+        assert cond_majorizes_classical(corr, unif, tol=tol).feasible
+    with pytest.raises(classical.LpSolverError):
+        cond_majorizes_classical(corr, unif, tol=-1.0)   # no certificate has a negative residual
 
 
 def test_apply_cds_identity():

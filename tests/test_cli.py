@@ -151,6 +151,17 @@ def test_classical_majorize_feasible_and_not(tmp_path, capsys):
     assert "t" not in obj
 
 
+def test_classical_majorize_tol_never_changes_the_verdict(tmp_path, capsys):
+    # --tol bounds the certificate's residual; an infeasible pair stays infeasible
+    p_unif = _write(tmp_path, "unif.csv", ser.joint_to_csv(ClassicalJoint(np.full((2, 2), 0.25))))
+    p_corr = _write(tmp_path, "corr.csv", ser.joint_to_csv(ClassicalJoint(np.array([[0.5, 0.0], [0.0, 0.5]]))))
+    code, out = _run(capsys, ["classical-majorize", "--p", p_unif, "--q", p_corr, "--tol", "1"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["feasible"] is False
+    assert obj["witness_gap"] > 1e-7 and obj["witness_t"]
+
+
 def test_simulate_state_max_entangled(tmp_path, capsys):
     state = _write_json(tmp_path, "phi.json", ser.encode_density(max_entangled(2)))
     game = _write_json(

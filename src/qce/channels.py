@@ -113,11 +113,8 @@ def apply(ch: QuantumChannel, state: DensityOperator) -> DensityOperator:
 
 def choi(ch: QuantumChannel) -> np.ndarray:
     """Unnormalized Choi operator; index order (input copy, output)."""
-    j = np.zeros((ch.din * ch.dout, ch.din * ch.dout), dtype=complex)
-    for k in ch.kraus:
-        v = k.T.reshape(-1)  # v[(i_in, i_out)] = K[i_out, i_in]
-        j += np.outer(v, v.conj())
-    return j
+    v = np.stack([k.T.reshape(-1) for k in ch.kraus])  # v[k, (i_in, i_out)] = K_k[i_out, i_in]
+    return v.T @ v.conj()
 
 
 def from_choi(j, in_dims, out_dims) -> QuantumChannel:

@@ -6,11 +6,27 @@ Kraus list or a Choi matrix next to their in/out dims.  Decoded states pass
 ``linalg.density`` and decoded channels ``channels.channel`` or ``from_choi``.
 Floats emitted by the CLI are rounded to 12 significant digits so identical
 runs serialize byte for byte.
+
+``dumps`` writes each float v as ``repr(float(f"{v:.12g}"))``, the per-float
+rule.  Matrix data (a list whose every element is a 2-list of exact
+``float``) is written in one pass instead: one ``str.format`` call renders
+every entry with ``{:.12g}``, bare integers get ``.0``, and the text is
+spliced into the ``json.dumps`` output of the rest through placeholder
+strings.  This is byte-identical to the per-float rule whenever the %g text
+holds no ``e+``, ``n`` or ``e-3``: such a token is a decimal of at most 12
+digits of a normal double, which is its own shortest repr, and %g and repr
+both switch to ``e-05`` style below 1e-4.  A list with a token outside that
+range (magnitudes of 1e12 and up, where %g writes ``1e+12``; below 1e-299,
+subnormals included, and, at the cost of time only, exponents -30 to -39; NaN
+and infinities) takes the per-float rule, as do ``np.float64``, int and bool
+entries.  If a caller's own string holds the placeholder marker, the whole
+object takes the per-float rule.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain
 
 import numpy as np
@@ -85,7 +101,7 @@ def decode_channel(obj: dict) -> qc.QuantumChannel:
 
 
 def encode_host(host: HostMatrix) -> dict:
-    return {"t": [[float(v) for v in row] for row in host.t]}
+    return {"t": host.t.tolist()}
 
 
 def decode_host(obj: dict) -> HostMatrix:
@@ -147,22 +163,56 @@ def joint_from_csv(text: str) -> ClassicalJoint:
     return ClassicalJoint(np.array(rows, dtype=float))
 
 
-def _float_pair(v) -> bool:
-    return type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
+_MARK = "\x00"  # placeholder prefix, followed by the index of its text
+_MARK_JSON = json.dumps(_MARK)[:-1]  # a placeholder's opening in json.dumps output
+_BARE_INT = re.compile(r"([\[,]-?\d+)(?=[,\]])")
 
 
-def _round_floats(obj):
+def _matrix_text(obj) -> str | None:
+    """JSON text of [[re, im], ...] matrix data, or None off the one-pass rule."""
+    if not (
+        set(map(type, obj)) == {list}
+        and set(map(len, obj)) == {2}
+        and set(map(type, chain.from_iterable(obj))) == {float}
+    ):
+        return None
+    text = ("[{:.12g},{:.12g}]," * len(obj)).format(*chain.from_iterable(obj))
+    if "e+" in text or "n" in text or "e-3" in text:
+        return None  # 1e12 and up, nan, inf, below 1e-299: %g and repr disagree
+    n = 2 * len(obj)
+    if text.count(".") < n:  # integer-valued entries, in states mostly a zero imaginary part
+        text = text.replace("[0,", "[0.0,").replace(",0]", ",0.0]")
+        if text.count(".") < n:
+            text = _BARE_INT.sub(r"\1.0", text)
+    return "[" + text[:-1] + "]"
+
+
+def _round_floats(obj, texts: list | None):
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _round_floats(v, texts) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if all(map(_float_pair, obj)):  # encoded matrix data, rounded in one pass
-            return [[float(f"{re:.12g}"), float(f"{im:.12g}")] for re, im in obj]
-        return [_round_floats(v) for v in obj]
+        text = None if texts is None else _matrix_text(obj)
+        if text is not None:
+            texts.append(text)
+            return f"{_MARK}{len(texts) - 1}"
+        return [_round_floats(v, texts) for v in obj]
     return obj
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def dumps(obj) -> str:
     """Deterministic JSON with floats at 12 significant digits."""
-    return json.dumps(_round_floats(obj), sort_keys=True, separators=(",", ":"))
+    texts: list[str] = []
+    pieces = _json(_round_floats(obj, texts)).split(_MARK_JSON)
+    if len(pieces) != len(texts) + 1:  # a caller's string holds the marker
+        return _json(_round_floats(obj, None))
+    out = [pieces[0]]
+    for piece in pieces[1:]:
+        i, rest = piece.split('"', 1)
+        out += (texts[int(i)], rest)
+    return "".join(out)

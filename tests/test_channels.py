@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from qce import channels as qc
+from qce.cusc import bell_scrambler, cds_channel, is_cusc, random_cusc, separable_prep_channel, teleport_cusc
 from qce.linalg import (
     dagger,
     density,
     ket,
     max_entangled,
     maximally_mixed,
+    permutation_matrix,
     proj,
     pure,
     random_density,
@@ -192,3 +194,70 @@ def test_make_dispatch():
     np.testing.assert_allclose(qc.choi(ch2), np.eye(4) / 2, atol=1e-12)
     with pytest.raises((KeyError, ValueError)):
         qc.make("not_a_channel")
+
+
+def _choi_outer_loop(ch):
+    """Sum of one outer product per Kraus operator, as ``choi`` was first written."""
+    j = np.zeros((ch.din * ch.dout, ch.din * ch.dout), dtype=complex)
+    for k in ch.kraus:
+        v = k.T.reshape(-1)
+        j += np.outer(v, v.conj())
+    return j
+
+
+def test_choi_matches_the_outer_product_loop():
+    g = rng(SEED + 6)
+    u = np.linalg.qr(g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3)))[0]
+    channels = [
+        qc.random_channel(2, 3, kraus_rank=4, seed=g),
+        qc.random_channel(3, 2, seed=g),
+        qc.unitary_channel(u),
+        bell_scrambler(3),
+    ]
+    assert len(channels[-1].kraus) == 27
+    for ch in channels:
+        np.testing.assert_allclose(qc.choi(ch), _choi_outer_loop(ch), rtol=0, atol=1e-14)
+
+
+def _cusc_constructions(g):
+    def unit(d):
+        v = g.normal(size=d) + 1j * g.normal(size=d)
+        return v / np.linalg.norm(v)
+
+    def cds(m):
+        v = np.linalg.qr(g.normal(size=(2 * m * m, m)) + 1j * g.normal(size=(2 * m * m, m)))[0]
+        kraus = list(v.reshape(m, 2 * m, m).transpose(1, 0, 2))
+        flip = np.roll(np.eye(m), 1, axis=0)
+        ds = [lam * np.eye(m) + (1 - lam) * flip for lam in g.uniform(0.2, 0.8, size=2)]
+        return cds_channel(ds, [kraus[0::2], kraus[1::2]], m, m)
+
+    def prep(d):
+        return separable_prep_channel([(float(p), unit(d), unit(d)) for p in g.dirichlet(np.ones(3))])
+
+    return [
+        teleport_cusc(random_density((2, 2), seed=g)), teleport_cusc(random_density((3, 3), seed=g)),
+        bell_scrambler(2), bell_scrambler(3),
+        cds(2), cds(2), cds(3),
+        prep(2), prep(3),
+        random_cusc(2, 3, seed=1), random_cusc(2, 3, seed=2),
+    ]
+
+
+def test_cusc_verdicts_unchanged_by_the_stacked_choi(monkeypatch):
+    def swap(d):
+        return permutation_matrix((d, d), [1, 0])
+
+    cnot = np.eye(4)
+    cnot[2:, 2:] = [[0.0, 1.0], [1.0, 0.0]]
+    controls = [qc.unitary_channel(swap(2), (2, 2)), qc.unitary_channel(swap(3), (3, 3)),
+                qc.unitary_channel(cnot, (2, 2))]
+    channels = _cusc_constructions(rng(SEED + 7)) + controls
+    stacked = [is_cusc(ch) for ch in channels]
+    monkeypatch.setattr(qc, "choi", _choi_outer_loop)
+    for ch, new in zip(channels, stacked):
+        old = is_cusc(ch)
+        assert new.conditionally_unital == old.conditionally_unital
+        assert new.semicausal_choi == old.semicausal_choi
+        assert abs(new.max_violation - old.max_violation) <= 1e-14
+    assert all(v.conditionally_unital and v.semicausal_choi for v in stacked[:-3])
+    assert not any(v.conditionally_unital and v.semicausal_choi for v in stacked[-3:])

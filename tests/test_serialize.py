@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qce import channels as qc
 from qce import serialize as ser
 from qce.channel_games import bell_game
-from qce.classical import random_host, random_joint
+from qce.classical import HostMatrix, random_host, random_joint
 from qce.cusc import is_cusc
 from qce.linalg import max_entangled, random_density, rng
 from qce.mc_sim import simulate_channel_game
@@ -141,3 +143,90 @@ def test_encode_matrix_pairs_match_per_entry_floats():
     want = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
     assert ser.encode_matrix(m)["data"] == want
     assert ser.encode_matrix(m.T)["data"] == [[float(z.real), float(z.imag)] for z in m.T.reshape(-1)]
+
+
+def _float_pair(v) -> bool:
+    return type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
+
+
+def _round_floats_per_float(obj):
+    """The per-float rounding ``dumps`` used before its one-pass matrix writer."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round_floats_per_float(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if all(map(_float_pair, obj)):
+            return [[float(f"{re:.12g}"), float(f"{im:.12g}")] for re, im in obj]
+        return [_round_floats_per_float(v) for v in obj]
+    return obj
+
+
+def _dumps_per_float(obj) -> str:
+    return json.dumps(_round_floats_per_float(obj), sort_keys=True, separators=(",", ":"))
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -7.0, 123456.0, 1e-5, 9.99999999999e-5, 1e-4, 0.1, 1.0 / 3.0,
+    999999999999.4, 999999999999.6, 1e12, 1234567890123.5, 5e15, 9.999e15, 1e16, 3e20,
+    1e-299, 1e-300, 5e-324, 2.2250738585072014e-308, 1.5e-30,
+    float("nan"), float("inf"), float("-inf"),
+]
+_float = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(),
+    st.floats(-2.0, 2.0),
+    st.integers(-10**13, 10**13).map(float),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-320, 20)),
+)
+_entry = st.one_of(_float, _float, _float, _float.map(np.float64), st.integers(-3, 3), st.booleans())
+_pairs = st.lists(st.lists(_float, min_size=2, max_size=2), max_size=8)
+_mixed_pairs = st.lists(st.lists(_entry, min_size=2, max_size=2), max_size=4)
+_text = st.one_of(st.text(max_size=4), st.integers(0, 12).map(lambda i: f"\x00{i}"))
+_json_values = st.recursive(
+    st.one_of(_entry, _text, st.none(), _pairs, _mixed_pairs),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.tuples(_float, _float), max_size=3).map(tuple),
+        st.dictionaries(_text, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+def test_dumps_matches_the_per_float_rule(obj):
+    assert ser.dumps(obj) == _dumps_per_float(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(EDGE_FLOATS), min_size=2, max_size=8))
+def test_dumps_matches_the_per_float_rule_on_edge_values(values):
+    data = [values[i:i + 2] for i in range(0, len(values) - 1, 2)]
+    obj = {"rows": len(data), "cols": 1, "data": data}
+    assert ser.dumps(obj) == _dumps_per_float(obj)
+
+
+def test_dumps_matches_the_per_float_rule_on_encoded_objects():
+    g = rng(SEED)
+    host = HostMatrix(g.dirichlet(np.ones(3), size=2).T)  # 2 columns: host t is matrix data
+    cases = [
+        ser.encode_density(random_density((2, 3), seed=SEED)),
+        ser.encode_density(max_entangled(3)),
+        ser.encode_channel(qc.random_channel(2, 3, seed=SEED)),
+        ser.encode_channel(qc.depolarizing(0.25), as_choi=True),
+        ser.encode_host(host),
+        {"data": ((0.5, 0.25), [1.0, 2.0]), "empty": [], "nested": {"x": {"y": [[0.1, 1e-7]]}}},
+        {"data": [[1e12, 0.0]], "scalars": [1e-300, 5e-324, 3, np.float64(0.1)]},
+        {"data": [[0.5, 5e-324]], "normal": [[1e-299, -1e-300]]},
+        {"data": [[float("nan"), float("inf")], [float("-inf"), -0.0]]},
+        {"data": [[np.float64(0.1), 0.2]], "ints": [[1, 2], [3, 4]]},
+        {"\x000": "marker in a key", "m": [[0.5, 0.25], [0.125, 2.0]]},
+        {"s": "\x001", "m": [[0.5, 0.25]], "n": [[0.75, 1.0]]},
+        {"s": 'a"\x000', "m": [[0.5, 0.25]]},
+    ]
+    for obj in cases:
+        assert ser.dumps(obj) == _dumps_per_float(obj)
+    assert ser._matrix_text(ser.encode_density(random_density((3, 3), seed=SEED))["data"]) is not None

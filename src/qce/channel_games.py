@@ -126,8 +126,14 @@ def _structured_candidates(n: qc.QuantumChannel, da: int, extra=()):
 
 
 def _superop(kraus) -> np.ndarray:
-    """Matrix of rho -> sum_k K rho K+ on row-major vectorized operators."""
-    return sum(np.kron(k, k.conj()) for k in kraus)
+    """Matrix of rho -> sum_k K rho K+ on row-major vectorized operators.
+
+    Each term is kron(K, K*) as one broadcast product, summed over the Kraus
+    axis from 0 in Kraus order, as a Python sum of the krons would.
+    """
+    k = np.asarray(kraus)
+    terms = k[:, :, None, :, None] * k.conj()[:, None, :, None, :]
+    return sum(terms.reshape(len(k), k.shape[1] ** 2, k.shape[2] ** 2))
 
 
 class _GameEvaluator:

@@ -3,11 +3,19 @@
 An n x k isometry is the first k columns of a product of complex Givens
 rotations, one theta/lambda pair per plane that touches an occupied column,
 applied to a diagonal phase layer; this family reaches every n x k isometry,
-and with k = n every unitary.  One driver, ``search_isometry``, runs plain
-coordinate descent over the angles from a fixed list of starts (structured
-ones first, then seeded random restarts) and keeps the first best start, so
-results are reproducible for a fixed seed.  ``search_unitary`` is its k = n
-case.
+and with k = n every unitary.  The angle vector holds the thetas, then the
+lambdas, then the k phases, and the phase layer multiplies column j by its
+phase.  One search loop runs plain coordinate descent over the angles from a
+fixed list of starts (structured ones first, then seeded random restarts)
+and keeps the first best start, so results are reproducible for a fixed
+seed.  ``search_isometry`` probes every angle, making
+1 + sweeps * n_iso_params(n, k) objective calls.  ``search_unitary``
+searches orthonormal bases up to column phases: its objective must not
+depend on the phases of U's columns (a function of the projectors
+|u_j><u_j| does not), so it probes only the n(n - 1) Givens angles, making
+1 + sweeps * n(n - 1) calls.  Its starts keep the phase layer, zero for
+structured starts and drawn for random ones, so its seeded random draws are
+those of ``search_isometry``.
 
 All starts follow the same coordinate schedule, so they run in lockstep, and
 a search may carry a leading batch of independent problems that share the
@@ -68,19 +76,20 @@ def isometry_from_params(n: int, k: int, params: np.ndarray) -> np.ndarray:
     return v
 
 
-def _coordinate_descent(f, params: np.ndarray, opts: OptOpts):
+def _coordinate_descent(f, params: np.ndarray, opts: OptOpts, n_probed: int):
     """Maximize f over each row of params by cyclic +-step probes with shrinking step.
 
-    ``f`` maps a stack of angle rows (..., npar) to values (...).  Both probes
-    of a coordinate step from its value before the probes, so they are scored
-    by one call on the stack (2, ..., npar), +step first.  Each row then
-    accepts or rejects +step and then -step against its own best so far, as a
-    descent on one row would.
+    Each sweep probes the first ``n_probed`` coordinates in order; the rest
+    keep their start values.  ``f`` maps a stack of angle rows (..., npar) to
+    values (...).  Both probes of a coordinate step from its value before the
+    probes, so they are scored by one call on the stack (2, ..., npar), +step
+    first.  Each row then accepts or rejects +step and then -step against its
+    own best so far, as a descent on one row would.
     """
     best = f(params)
     step = opts.step
     for _ in range(opts.sweeps):
-        for k in range(params.shape[-1]):
+        for k in range(n_probed):
             base = params[..., k].copy()
             probes = np.stack([params, params])
             probes[0, ..., k] = base + step
@@ -95,7 +104,7 @@ def _coordinate_descent(f, params: np.ndarray, opts: OptOpts):
 
 
 def search_isometry(objective, n: int, k: int, opts: OptOpts | None = None, structured=None, minimize: bool = False):
-    """Optimize ``objective`` over n x k isometries (V+ V = I_k).
+    """Optimize ``objective`` over n x k isometries (V+ V = I_k), probing every angle.
 
     ``objective`` maps a stack of isometries (..., n, k) to their values
     (...); see the module docstring for the stacks it is given.  The starts,
@@ -113,8 +122,14 @@ def search_isometry(objective, n: int, k: int, opts: OptOpts | None = None, stru
 
     Returns (best_isometry, best_value, restarts_used): isometries (..., n, k)
     and values (...) per problem, and restarts_used, the number of starts per
-    problem: S (1 when None) + opts.restarts.
+    problem: S (1 when None) + opts.restarts.  ``objective`` is called
+    1 + opts.sweeps * n_iso_params(n, k) times.
     """
+    return _search(objective, n, k, opts, structured, minimize, n_iso_params(n, k))
+
+
+def _search(objective, n: int, k: int, opts: OptOpts | None, structured, minimize: bool, n_probed: int):
+    """The search behind both public searches: coordinate descent probing the first ``n_probed`` angles."""
     opts = opts or OptOpts()
     sign = -1.0 if minimize else 1.0
     npar = n_iso_params(n, k)
@@ -136,7 +151,7 @@ def search_isometry(objective, n: int, k: int, opts: OptOpts | None = None, stru
         return v
 
     params = np.broadcast_to(np.array(starts), batch + (len(starts), npar)).copy()
-    params, vals = _coordinate_descent(lambda p: sign * objective(build(p)), params, opts)
+    params, vals = _coordinate_descent(lambda p: sign * objective(build(p)), params, opts, n_probed)
     best, best_val = np.zeros(batch, dtype=int), vals[..., 0]
     for i in range(1, len(starts)):
         better = vals[..., i] > best_val + 1e-15
@@ -147,16 +162,26 @@ def search_isometry(objective, n: int, k: int, opts: OptOpts | None = None, stru
 
 
 def search_unitary(objective, n: int, opts: OptOpts | None = None, structured=(), minimize: bool = False):
-    """Optimize ``objective`` over n x n unitaries: ``search_isometry`` with k = n.
+    """Optimize ``objective`` over orthonormal bases of C^n, up to the phases of the columns.
 
-    ``objective`` maps a stack (..., n, n) to values (...).  The starts are
-    one per unitary in ``structured`` (an empty sequence adds none; a batch
-    (..., S, n, n) gives one search per problem), then ``opts.restarts``
-    seeded random ones, so restarts_used is S + opts.restarts.  For n = 1
-    the only unitary [[1]] is scored, per problem, and restarts_used is 0.
-    Returns (best_unitary, best_value, restarts_used).
+    The contract: ``objective`` maps a stack (..., n, n) of unitaries to
+    values (...) that do not change when a column of a unitary is multiplied
+    by a phase, as for a function of the projectors |u_j><u_j|.  Under it the
+    search probes only the n(n - 1) Givens angles and leaves each start's
+    phases as they are: zero for a structured start, drawn for a random one.
+    Every random start still draws n_iso_params(n, n) angles, so the seeded
+    draws are those of ``search_isometry(objective, n, n, ...)``.  An
+    objective that sees the phases belongs to ``search_isometry``.
+
+    The starts are one per unitary in ``structured`` (an empty sequence adds
+    none; a batch (..., S, n, n) gives one search per problem), then
+    ``opts.restarts`` seeded random ones, so restarts_used is
+    S + opts.restarts, and ``objective`` is called
+    1 + opts.sweeps * n(n - 1) times.  For n = 1 the only unitary [[1]] is
+    scored, per problem, and restarts_used is 0.  Returns (best_unitary,
+    best_value, restarts_used).
     """
     if n == 1:
         u = np.ones(np.shape(structured)[:-3] + (1, 1), dtype=complex)
         return u, objective(u[..., None, :, :])[..., 0], 0
-    return search_isometry(objective, n, n, opts, structured, minimize)
+    return _search(objective, n, n, opts, structured, minimize, n * (n - 1))

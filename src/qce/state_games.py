@@ -36,7 +36,7 @@ from .linalg import (
     fourier_matrix,
     rng,
 )
-from .optim import OptOpts, search_unitary
+from .optim import OptOpts, search_isometry, search_unitary
 
 REWARD_GAP = 2e-6
 
@@ -208,9 +208,11 @@ def reward_adv(
     leaves Bob less; coarser partitions of a basis are dominated by its
     singletons and are not searched.  Bob's inner maximization sees the
     adversary's conjugate basis as a structured candidate when |A| = |B|,
-    and runs as one batched search per objective call.  The reported
-    ``Adversary.response`` is Bob's best response to the move, his basis
-    from the search that scored it.
+    and runs as one batched search per objective call.  That start carries
+    the phases of the adversary's columns into Bob's search, so the outer
+    search probes them too (``search_isometry``, not ``search_unitary``).
+    The reported ``Adversary.response`` is Bob's best response to the move,
+    his basis from the search that scored it.
     """
     da, db = bipartite_dims(state)
     opts = opts or OptOpts(restarts=8, sweeps=1)
@@ -231,7 +233,7 @@ def reward_adv(
             responses[u.tobytes()] = basis
         return values
 
-    u, value, used = search_unitary(objective, da, opts, structured=_structured_adv_bases(state), minimize=True)
+    u, value, used = search_isometry(objective, da, da, opts, structured=_structured_adv_bases(state), minimize=True)
     if value < free_value - 1e-15:
         response = _bob_strategy(scramble(state, u, finest), host, responses[u.tobytes()])
         return RewardReport(min(float(value), 1.0), adversary=Adversary(u, finest, response), restarts_used=used)

@@ -1,10 +1,14 @@
 """Gambling games on channels: fixed values, search, degradation, purity."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qce import channel_games
 from qce import channels as qc
 from qce import serialize as ser
 from qce.channel_games import (
@@ -25,6 +29,7 @@ from qce.channel_games import (
     zero_game,
     _GameEvaluator,
     _structured_candidates,
+    _superop,
 )
 from qce.linalg import (
     dagger,
@@ -36,12 +41,13 @@ from qce.linalg import (
     majorizes,
     max_entangled,
     maximally_mixed,
+    proj,
     pure,
     random_density,
     rng,
 )
 from qce.mc_sim import simulate_channel_game
-from qce.optim import isometry_from_params, n_iso_params
+from qce.optim import OptOpts, isometry_from_params, n_iso_params
 from qce.state_games import bipartite_dims
 
 SEED = 20240823
@@ -188,6 +194,52 @@ def test_structured_candidates_score_as_one_stack():
             for cand, value in zip(cands, values):
                 assert np.float64(channel_reward_fixed(ch, cand, game)).tobytes() == value.tobytes()
                 assert abs(value - kraus_path_value(ch, cand, game)) < FIXED_EVAL_ATOL
+
+
+def test_superop_is_bitwise_the_kron_sum():
+    # the broadcast product keeps each kron term and the order of the sum, so
+    # zero rows and signed zeros come out as the Python sum of krons gives them
+    g = rng(SEED + 9)
+    chans = [qc.identity_channel((2,)), qc.classical_identity(3), qc.randomizing(2), qc.dephasing(0.5, 3)]
+    chans += [qc.depolarizing(gamma) for gamma in (0.0, 0.3, 1.0)] + [qc.amplitude_damping(gamma) for gamma in (0.0, 0.3, 1.0)]
+    chans += [qc.povm_channel([proj(ket(0, 2)), proj(ket(1, 2))]), qc.replacement(random_density((2,), seed=g), in_dim=3)]
+    chans += [qc.random_channel(a, b, seed=g) for a, b in ((1, 2), (2, 2), (2, 3), (3, 2), (3, 3))]
+    kraus = [ch.kraus for ch in chans]
+    for shape in ((1, 2, 2), (2, 2, 2), (3, 2, 3), (4, 3, 2)):
+        ks = g.normal(size=shape) + 1j * g.normal(size=shape)
+        ks[0, -1] = 0.0  # a zero row
+        ks[:, 0, 0] = complex(-0.0, -0.0)
+        ks[-1, 0, -1] = -1j  # with the -0.0 entries, kron terms that hold -0.0
+        kraus.append(tuple(ks))
+    for ks in kraus:
+        want = sum(np.kron(k, k.conj()) for k in ks)
+        assert _superop(ks).tobytes() == want.tobytes()
+
+
+def _purity_objective(ch):
+    """The objective ``max_output_purity`` hands to ``search_unitary`` for ``ch``."""
+    objectives = []
+    search_unitary = channel_games.search_unitary
+
+    def spy(objective, *args, **kwargs):
+        objectives.append(objective)
+        return search_unitary(objective, *args, **kwargs)
+
+    with mock.patch.object(channel_games, "search_unitary", spy):
+        max_output_purity(ch, OptOpts(restarts=0, sweeps=0))
+    return objectives[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), seed=st.integers(0, 2**31 - 1), stack=st.integers(1, 3))
+def test_purity_objective_is_blind_to_column_phases(dims, seed, stack):
+    # max_output_purity reads only |u_0><u_0|, the contract of search_unitary
+    g = rng(seed)
+    ch = qc.random_channel(*dims, seed=g)
+    objective = _purity_objective(ch)
+    us = np.stack([haar_unitary(dims[0], seed=g) for _ in range(stack)])
+    d = np.exp(1j * g.uniform(-np.pi, np.pi, (stack, dims[0])))
+    np.testing.assert_allclose(objective(us * d[:, None, :]), objective(us), rtol=0, atol=1e-12)
 
 
 def test_fixed_value_rejects_a_preprocessing_that_does_not_bridge():

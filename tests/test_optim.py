@@ -89,8 +89,10 @@ def test_best_structured_start_wins_and_ties_go_first():
 
 def test_probe_ties_go_to_the_plus_step():
     # cos is even, so both probes of the first angle and of the first phase
-    # gain the same; +step is accepted first and -step must beat it
-    u, val, _ = search_unitary(lambda us: -us[..., 0, 0].real, 2, OptOpts(restarts=0, sweeps=1), structured=[np.eye(2)])
+    # gain the same; +step is accepted first and -step must beat it.  The
+    # objective sees column phases, so it is searched with search_isometry.
+    objective = lambda us: -us[..., 0, 0].real
+    u, val, _ = search_isometry(objective, 2, 2, OptOpts(restarts=0, sweeps=1), structured=[np.eye(2)])
     np.testing.assert_allclose(u, isometry_from_params(2, 2, [0.5, 0.0, 0.5, 0.0]), rtol=0, atol=1e-15)
     assert val == -np.cos(0.5) * np.cos(0.5)
 
@@ -104,10 +106,14 @@ def test_seeded_search_is_deterministic():
     assert runs[0][1] == fit(runs[0][0][None])[0]
 
 
-def _per_start_search(objective, n, k, opts, structured, minimize):
-    """Reference search: one coordinate descent per start, each run to the end before the next."""
+def _per_start_search(objective, n, k, opts, structured, minimize, n_probed=None):
+    """Reference search: one coordinate descent per start, each run to the end before the next.
+
+    Each sweep probes the first ``n_probed`` angles (all of them when None).
+    """
     sign = -1.0 if minimize else 1.0
     npar = n_iso_params(n, k)
+    n_probed = npar if n_probed is None else n_probed
     if structured is None:
         starts = [(None, np.zeros(npar))]
     else:
@@ -122,7 +128,7 @@ def _per_start_search(objective, n, k, opts, structured, minimize):
         f = lambda p: sign * objective(build(p)[None])[0]
         best, step = f(params), opts.step
         for _ in range(opts.sweeps):
-            for i in range(npar):
+            for i in range(n_probed):
                 base = params[i]
                 for cand in (base + step, base - step):
                     params[i] = cand
@@ -166,6 +172,43 @@ def test_lockstep_search_matches_per_start_descent(shape, seed, restarts, sweeps
     assert got[2] == want[2]
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    batch=st.sampled_from([(), (3,), (2, 2)]),
+    seed=st.integers(0, 2**31 - 1),
+    restarts=st.integers(0, 3),
+    sweeps=st.integers(0, 2),
+    n_structured=st.integers(0, 2),
+    minimize=st.booleans(),
+)
+def test_unitary_search_probes_only_the_givens_angles(n, batch, seed, restarts, sweeps, n_structured, minimize):
+    # search_unitary is the per-start descent over the first n(n - 1) angles:
+    # structured starts keep phase 0, random ones the phases they drew.  The
+    # objective Re <c, U> sees column phases, so a probed phase would show.
+    if n_structured == 0 and restarts == 0:
+        restarts = 1
+    g = rng(seed)
+    c = g.normal(size=batch + (n, n)) + 1j * g.normal(size=batch + (n, n))
+    structured = np.array([haar_unitary(n, seed=g) for _ in range(int(np.prod(batch)) * n_structured)])
+    structured = structured.reshape(batch + (n_structured, n, n))
+
+    def objective_for(cs):
+        def objective(us):
+            rows = zip(np.broadcast_to(cs[..., None, :, :], us.shape).reshape(-1, n, n), us.reshape(-1, n, n))
+            return np.array([np.vdot(ci, u).real for ci, u in rows]).reshape(us.shape[:-2])
+        return objective
+
+    opts = OptOpts(restarts=restarts, sweeps=sweeps, seed=seed)
+    got = search_unitary(objective_for(c), n, opts, structured, minimize)
+    assert got[0].shape == batch + (n, n) and got[1].shape == batch
+    for i in np.ndindex(*batch):
+        want = _per_start_search(objective_for(c[i]), n, n, opts, list(structured[i]), minimize, n * (n - 1))
+        assert got[0][i].tobytes() == want[0].tobytes()
+        assert np.float64(got[1][i]).tobytes() == np.float64(want[1]).tobytes()
+        assert got[2] == want[2]
+
+
 def test_search_scores_both_probes_of_a_coordinate_as_one_call():
     shapes = []
 
@@ -184,7 +227,7 @@ def test_search_scores_both_probes_of_a_coordinate_as_one_call():
     batch = np.broadcast_to(fourier_matrix(3), (2, 5, 2, 3, 3))
     u, val, used = search_unitary(objective, 3, OptOpts(restarts=3, sweeps=1, seed=SEED), structured=batch)
     assert (u.shape, val.shape, used) == ((2, 5, 3, 3), (2, 5), 5)
-    assert len(shapes) == 1 + n_iso_params(3, 3)
+    assert len(shapes) == 1 + n_iso_params(3, 3) - 3  # the 3 column phases are not probed
     assert shapes[0] == (2, 5, 5, 3, 3)
     assert all(s == (2, 2, 5, 5, 3, 3) for s in shapes[1:])
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qce import state_games
 from qce.classical import (
     HostMatrix,
     embed_classical,
@@ -25,9 +28,10 @@ from qce.linalg import (
     random_pure,
     rng,
 )
-from qce.optim import OptOpts, search_unitary
+from qce.optim import OptOpts, n_iso_params, search_isometry
 from qce.state_games import (
     StateGameSpec,
+    _StateStack,
     _bob_after_pinching,
     _reward_and_answer,
     _structured_adv_bases,
@@ -182,7 +186,7 @@ def test_reward_adv_matches_the_partition_enumeration():
                     for u in us.reshape(-1, 3, 3)
                 ]).reshape(us.shape[:-2])
 
-            values.append(search_unitary(bob, 3, outer, structured=_structured_adv_bases(state), minimize=True)[1])
+            values.append(search_isometry(bob, 3, 3, outer, structured=_structured_adv_bases(state), minimize=True)[1])
         rep = reward_adv(state, host, outer, inner)
         assert abs(rep.value - min(values)) <= 1e-12, db
         assert rep.adversary.partition == ((0,), (1,), (2,))
@@ -216,7 +220,7 @@ def test_batched_adversary_objective_matches_per_row_reward_noadv():
             assert rep.strategy.bob_basis.tobytes() == bases[i].tobytes()
 
         comprehension = lambda us: np.array([bob(u).value for u in us.reshape(-1, da, da)]).reshape(us.shape[:-2])
-        u, value, used = search_unitary(comprehension, da, outer, structured=_structured_adv_bases(state), minimize=True)
+        u, value, used = search_isometry(comprehension, da, da, outer, structured=_structured_adv_bases(state), minimize=True)
         rep = reward_adv(state, host, outer, inner)
         assert rep.restarts_used == used
         if rep.adversary.partition == finest:
@@ -227,6 +231,52 @@ def test_batched_adversary_objective_matches_per_row_reward_noadv():
             np.testing.assert_array_equal(rep.adversary.response.answer, response.answer)
         else:
             assert value >= reward_noadv(state, host, inner).value - 1e-15
+
+
+def test_reward_adv_probes_the_phases_of_its_basis(monkeypatch):
+    # Bob's search starts from the adversary's conjugate basis, so the outer
+    # search sees column phases and probes all n_iso_params(dA, dA) angles
+    calls = []
+    bob_after_pinching = state_games._bob_after_pinching
+
+    def counted(state, host, opts, us):
+        calls.append(us.shape)
+        return bob_after_pinching(state, host, opts, us)
+
+    monkeypatch.setattr(state_games, "_bob_after_pinching", counted)
+    g = rng(SEED + 25)
+    for dims, sweeps in (((2, 2), 1), ((3, 2), 2), ((2, 3), 1)):
+        da = dims[0]
+        state = random_density(dims, seed=g)
+        outer = OptOpts(restarts=2, sweeps=sweeps, seed=5)
+        calls.clear()
+        reward_adv(state, random_host(da, dims[1], seed=g), outer, OptOpts(restarts=1, sweeps=1, seed=6))
+        assert len(calls) == 1 + n_iso_params(da, da) * sweeps
+        assert calls[0] == (len(_structured_adv_bases(state)) + outer.restarts, da, da)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3), (1, 3), (2, 4)]),
+    seed=st.integers(0, 2**31 - 1),
+    stack=st.integers(0, 3),
+)
+def test_bob_value_is_blind_to_the_phases_of_his_basis(dims, seed, stack):
+    # Bob's objective reads only the projectors |b_z><b_z|, the contract of
+    # search_unitary: U and U D score alike for diagonal phases D
+    g = rng(seed)
+    da, db = dims
+    host = random_host(int(g.integers(1, da + 1)), db, seed=g)
+    if stack:
+        state = _StateStack(dims, np.stack([random_density(dims, seed=g).mat for _ in range(stack)]))
+        u = np.stack([haar_unitary(db, seed=g) for _ in range(stack)])
+    else:
+        state = random_density(dims, seed=g)
+        u = haar_unitary(db, seed=g)
+    d = np.exp(1j * g.uniform(-np.pi, np.pi, u.shape[:-1]))
+    value, _ = _reward_and_answer(state, host, u)
+    shifted, _ = _reward_and_answer(state, host, u * d[..., None, :])
+    np.testing.assert_allclose(shifted, value, rtol=0, atol=1e-12)
 
 
 def test_win_probabilities_are_reported_no_larger_than_one():
